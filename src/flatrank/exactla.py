@@ -4,10 +4,19 @@ sparse matrices, and deterministic rank computation.
 Two rank engines are provided.  ``rank_exact`` runs a fraction-free integer
 elimination (denominators are cleared row by row, updates are
 cross-multiplications with per-row content reduction) and returns the true
-rank over the rationals.  ``rank_modular`` reduces the matrix modulo random
-word-sized primes and eliminates with a vectorized kernel; a modular rank
-can only undershoot, so the result is a certified lower bound that equals
-the true rank with overwhelming probability.
+rank over the rationals.  ``rank_modular`` ranks the matrix modulo random
+word-sized primes; a modular rank can only undershoot, so the result is a
+certified lower bound that equals the true rank with overwhelming
+probability.
+
+The modular engine splits the matrix once into the connected components of
+its bipartite row/column graph, each compacted to the rows and columns it
+touches, and sums the component ranks mod each prime.  A component with
+fill at least ``DENSE_FILL`` is reduced to a dense array and eliminated by a
+vectorized numpy kernel; a sparser one is eliminated by the same Markowitz
+loop as the exact engine, with row updates mod q.  A dense array thus holds
+at most 8 * nnz / DENSE_FILL bytes, never n_rows * n_cols words of the
+declared shape.
 """
 
 from __future__ import annotations
@@ -15,8 +24,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import comb, gcd
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -29,6 +39,11 @@ PRIME_CEIL = 3037000499
 # Default policy boundary: exact elimination up to this many columns,
 # modular with two primes beyond it.
 EXACT_COLUMN_LIMIT = 500
+
+# The modular engine eliminates a connected component densely when at least
+# this share of its cells is nonzero and sparsely otherwise, so a dense
+# array never takes more than 8 * nnz / DENSE_FILL bytes.
+DENSE_FILL = 0.05
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -126,6 +141,14 @@ class SparseMatrix:
         if len(set(labels)) != count:
             raise ValueError(f"{kind} labels are not pairwise distinct")
         return labels
+
+    @classmethod
+    def _from_data(cls, n_rows: int, n_cols: int, data: dict) -> "SparseMatrix":
+        """Wrap an already validated rational entry dict, without copying."""
+        m = cls.__new__(cls)
+        m.n_rows, m.n_cols, m._data = n_rows, n_cols, data
+        m.row_labels = m.col_labels = m.modulus = None
+        return m
 
     @classmethod
     def identity(cls, n: int) -> "SparseMatrix":
@@ -296,7 +319,15 @@ def _integer_rows(m: SparseMatrix) -> list[dict[int, int]]:
     return out
 
 
-def _sparse_integer_rank(rows: list[dict[int, int]]) -> int:
+RowUpdate = Callable[[dict[int, int], dict[int, int], int], dict[int, int]]
+
+
+def _markowitz_rank(rows: list[dict[int, int]], update: RowUpdate) -> int:
+    """Rank of ``rows`` (column->nonzero dicts) by sparse elimination.
+
+    ``update(row, prow, c)`` returns ``row`` with column ``c`` eliminated
+    against the pivot row ``prow``, nonzero entries only; it fixes the field.
+    """
     live = {i: row for i, row in enumerate(rows) if row}
     cols: dict[int, set[int]] = {}
     for i, row in live.items():
@@ -309,7 +340,6 @@ def _sparse_integer_rank(rows: list[dict[int, int]]) -> int:
         c = min(cols, key=lambda j: (len(cols[j]), j))
         r_id = min(cols[c], key=lambda i: (len(live[i]), abs(live[i][c]) != 1, i))
         prow = live.pop(r_id)
-        pval = prow[c]
         for j in prow:
             hits = cols[j]
             hits.discard(r_id)
@@ -317,19 +347,7 @@ def _sparse_integer_rank(rows: list[dict[int, int]]) -> int:
                 del cols[j]
         for i in list(cols.get(c, ())):
             row = live[i]
-            f = row[c]
-            new = {j: pval * v for j, v in row.items() if j not in prow}
-            for j, pv in prow.items():
-                nv = pval * row.get(j, 0) - f * pv
-                if nv:
-                    new[j] = nv
-            g = 0
-            for v in new.values():
-                g = gcd(g, v)
-                if g == 1:
-                    break
-            if g > 1:
-                new = {j: v // g for j, v in new.items()}
+            new = update(row, prow, c)
             for j in row:
                 if j not in new:
                     hits = cols.get(j)
@@ -348,6 +366,42 @@ def _sparse_integer_rank(rows: list[dict[int, int]]) -> int:
     return rank
 
 
+def _exact_update(row: dict[int, int], prow: dict[int, int], c: int) -> dict[int, int]:
+    """Fraction-free update ``prow[c]*row - row[c]*prow``, divided by its content."""
+    pval = prow[c]
+    f = row[c]
+    new = {j: pval * v for j, v in row.items() if j not in prow}
+    for j, pv in prow.items():
+        nv = pval * row.get(j, 0) - f * pv
+        if nv:
+            new[j] = nv
+    g = 0
+    for v in new.values():
+        g = gcd(g, v)
+        if g == 1:
+            break
+    if g > 1:
+        new = {j: v // g for j, v in new.items()}
+    return new
+
+
+def _modular_update(q: int) -> RowUpdate:
+    """Row update over F_q: ``row - (row[c] / prow[c]) * prow mod q``."""
+    def update(row: dict[int, int], prow: dict[int, int], c: int) -> dict[int, int]:
+        f = row[c] * pow(prow[c], -1, q) % q
+        new = {j: v for j, v in row.items() if j not in prow}
+        for j, pv in prow.items():
+            nv = (row.get(j, 0) - f * pv) % q
+            if nv:
+                new[j] = nv
+        return new
+    return update
+
+
+def _sparse_integer_rank(rows: list[dict[int, int]]) -> int:
+    return _markowitz_rank(rows, _exact_update)
+
+
 def rank_exact(m: SparseMatrix) -> RankResult:
     """True rank over the rationals (deterministic, fraction-free elimination)."""
     if m.modulus is not None:
@@ -355,12 +409,18 @@ def rank_exact(m: SparseMatrix) -> RankResult:
     return RankResult(_sparse_integer_rank(_integer_rows(m)), "exact_rational")
 
 
+def _residue(v: Fraction, q: int) -> int:
+    """v mod q; ValueError when its denominator vanishes mod q."""
+    if v.denominator == 1:
+        return v.numerator % q
+    return v.numerator % q * pow(v.denominator, -1, q) % q
+
+
 def _dense_mod(m: SparseMatrix, q: int) -> np.ndarray:
     """Reduce a rational matrix mod q; ValueError when a denominator vanishes."""
     a = np.zeros((m.n_rows, m.n_cols), dtype=np.int64)
     for (i, j), v in m._data.items():
-        den = v.denominator % q
-        a[i, j] = v.numerator % q * pow(den, -1, q) % q
+        a[i, j] = _residue(v, q)
     return a
 
 
@@ -389,29 +449,113 @@ def _modular_rank_dense(a: np.ndarray, q: int) -> int:
     return r
 
 
+def _component_labels(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
+    """A label per node of the graph on nodes 0..n-1 with edges (u[e], v[e]),
+    equal exactly for nodes in the same connected component."""
+    label = np.arange(n)
+    while True:
+        lu, lv = label[u], label[v]
+        cross = lu != lv
+        if not cross.any():
+            return label
+        # Every label is a root here: hook each larger root below a smaller
+        # neighbour, then jump pointers until every label is a root again.
+        np.minimum.at(label, np.maximum(lu, lv)[cross], np.minimum(lu, lv)[cross])
+        while True:
+            jumped = label[label]
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
+
+
+def _positions(groups: np.ndarray, n_groups: int) -> np.ndarray:
+    """Index of each item among the items of its group, in item order."""
+    counts = np.bincount(groups, minlength=n_groups)
+    order = np.argsort(groups, kind="stable")
+    pos = np.empty_like(order)
+    pos[order] = np.arange(groups.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    return pos
+
+
+def _components(m: SparseMatrix) -> list[SparseMatrix]:
+    """The connected components of the bipartite row/column graph of m's
+    nonzeros, each compacted to the rows and columns it touches.
+
+    The rank of m, over Q or mod any q, is the sum of the component ranks:
+    an entry that vanishes mod q can only split a component further.
+    """
+    nnz = m.nnz
+    if not nnz:
+        return []
+    ij = np.fromiter(chain.from_iterable(m._data), np.int64, 2 * nnz).reshape(nnz, 2)
+    rows, ri = np.unique(ij[:, 0], return_inverse=True)
+    cols, cj = np.unique(ij[:, 1], return_inverse=True)
+    n_r = rows.size
+    labels, comp = np.unique(_component_labels(ri, cj + n_r, n_r + cols.size),
+                             return_inverse=True)
+    if labels.size == 1 and (n_r, cols.size) == (m.n_rows, m.n_cols):
+        return [m]
+    row_comp, col_comp = comp[:n_r], comp[n_r:]
+    row_pos, col_pos = _positions(row_comp, labels.size), _positions(col_comp, labels.size)
+    entry_comp = row_comp[ri]
+    order = np.argsort(entry_comp, kind="stable")
+    ends = np.cumsum(np.bincount(entry_comp, minlength=labels.size)).tolist()
+    local = list(zip(row_pos[ri][order].tolist(), col_pos[cj][order].tolist()))
+    values = list(m._data.values())
+    values = [values[e] for e in order.tolist()]
+    n_rows = np.bincount(row_comp, minlength=labels.size).tolist()
+    n_cols = np.bincount(col_comp, minlength=labels.size).tolist()
+    out = []
+    start = 0
+    for c, end in enumerate(ends):
+        data = dict(zip(local[start:end], values[start:end]))
+        out.append(SparseMatrix._from_data(n_rows[c], n_cols[c], data))
+        start = end
+    return out
+
+
+def _modular_rank_components(components: Sequence[SparseMatrix], q: int) -> int:
+    """Rank mod q of the matrix ``components`` split, no denominator 0 mod q.
+
+    A component whose fill reaches DENSE_FILL goes to the dense kernel; a
+    sparser one is eliminated sparsely over F_q.
+    """
+    rank = 0
+    update = _modular_update(q)
+    for comp in components:
+        if comp.nnz >= DENSE_FILL * comp.n_rows * comp.n_cols:
+            rank += _modular_rank_dense(_dense_mod(comp, q), q)
+            continue
+        rows: dict[int, dict[int, int]] = {}
+        for (i, j), v in comp._data.items():
+            r = _residue(v, q)
+            if r:
+                rows.setdefault(i, {})[j] = r
+        rank += _markowitz_rank(list(rows.values()), update)
+    return rank
+
+
 def rank_modular(m: SparseMatrix, prime_count: int = 2, seed: int = 0) -> RankResult:
     """Max of the mod-q ranks over ``prime_count`` random primes.
 
-    Reproducible from ``seed``; primes whose reduction hits a denominator
-    are redrawn.  The result is a certified lower bound on the true rank.
+    Reproducible from ``seed``; primes that divide a denominator of m are
+    redrawn.  The result is a certified lower bound on the true rank.
     """
     if m.modulus is not None:
         raise ValueError("rank_modular reduces rational matrices itself")
     if prime_count < 1:
         raise ValueError("prime_count must be at least 1")
+    components = _components(m)
+    denominators = {v.denominator for v in m._data.values()} - {1}
     rng = random.Random(seed)
     best = 0
     primes = []
     for _ in range(prime_count):
-        while True:
+        q = random_prime(rng)
+        while any(den % q == 0 for den in denominators):
             q = random_prime(rng)
-            try:
-                dense = _dense_mod(m, q)
-            except ValueError:
-                continue
-            break
         primes.append(q)
-        best = max(best, _modular_rank_dense(dense, q))
+        best = max(best, _modular_rank_components(components, q))
     return RankResult(best, "modular", tuple(primes), True)
 
 

@@ -459,19 +459,25 @@ def _load_poly(args) -> Poly:
 
 def run_flatten(args, seed: int, opts: RankOptions) -> dict:
     P = _load_poly(args)
-    if args.kind == "cat":
-        matrix = catalecticant(P, args.k)
-    elif args.kind == "shifted":
+    n, k = P.n_vars, args.k
+    n_cols = binomial(k + n - 1, k)
+    if args.kind == "shifted":
         if args.ell is None:
             raise ValueError("--ell is required for the shifted kind")
-        matrix = shifted_partials(P, args.k, args.ell)
-    else:
+        n_cols *= binomial(args.ell + n - 1, args.ell)
+    elif args.kind == "koszul":
         if args.p is None:
             raise ValueError("--p is required for the koszul kind")
-        matrix = koszul_flattening(P, args.k, args.p)
-    if matrix.n_cols > opts.budget_cols:
-        raise ValueError(f"matrix has {matrix.n_cols} columns, over the "
+        n_cols *= binomial(n, args.p)
+    if n_cols > opts.budget_cols:
+        raise ValueError(f"matrix has {n_cols} columns, over the "
                          f"--budget-cols limit {opts.budget_cols}")
+    if args.kind == "cat":
+        matrix = catalecticant(P, k)
+    elif args.kind == "shifted":
+        matrix = shifted_partials(P, k, args.ell)
+    else:
+        matrix = koszul_flattening(P, k, args.p)
     result = _policy_rank(matrix, opts, seed)
     if args.dump_matrix:
         with open(args.dump_matrix, "w", encoding="utf-8") as handle:

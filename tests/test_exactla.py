@@ -2,9 +2,13 @@
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from flatrank import exactla
 from flatrank.exactla import (
     PRIME_CEIL,
     PRIME_FLOOR,
@@ -17,6 +21,12 @@ from flatrank.exactla import (
     rank_auto,
     rank_exact,
     rank_modular,
+)
+from flatrank.exactla import (
+    _components,
+    _dense_mod,
+    _modular_rank_components,
+    _modular_rank_dense,
 )
 from flatrank.koszul import koszul_flattening, weight_block_matrix, weight_blocks_product
 from flatrank.symtensor import catalecticant, gen_power_sum_power, gen_product
@@ -145,6 +155,83 @@ def test_rank_modular_never_exceeds_exact_and_hits_it():
 def test_rank_modular_handles_denominators():
     m = SparseMatrix.from_dense([[Fraction(1, 2), 1], [0, Fraction(-3, 7)]])
     assert rank_modular(m, 1, 0).rank == 2
+
+
+def union_find_components(m):
+    """Component count of the row/column graph by plain union-find."""
+    parent = {}
+
+    def find(x):
+        while parent.setdefault(x, x) != x:
+            x = parent[x]
+        return x
+
+    for i, j, _ in m.entries():
+        parent[find(("r", i))] = find(("c", j))
+    return sum(1 for x in parent if find(x) == x)
+
+
+@st.composite
+def permuted_block_diagonal(draw):
+    """Random Fraction blocks on the diagonal, rows and columns then permuted."""
+    value = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 1, 1, 2, 3, 4]))
+    blocks = draw(st.lists(
+        st.tuples(st.integers(1, 7), st.integers(1, 7), st.floats(0.05, 1.0)),
+        min_size=0, max_size=6))
+    entries = []
+    n_rows = n_cols = 0
+    for rows, cols, density in blocks:
+        for i in range(rows):
+            for j in range(cols):
+                if draw(st.floats(0, 1)) < density:
+                    entries.append((n_rows + i, n_cols + j, draw(value)))
+        n_rows += rows
+        n_cols += cols
+    row_perm = draw(st.permutations(range(n_rows)))
+    col_perm = draw(st.permutations(range(n_cols)))
+    return SparseMatrix(n_rows + draw(st.integers(0, 3)), n_cols + draw(st.integers(0, 3)),
+                        [(row_perm[i], col_perm[j], v) for i, j, v in entries])
+
+
+@settings(max_examples=80, deadline=None)
+@given(permuted_block_diagonal(), st.sampled_from([5, 7, 11, 101, 2147483659, 3037000493]))
+def test_component_rank_mod_q_matches_dense_kernel(m, q):
+    # Denominators are at most 4, so none vanishes mod q.
+    assert is_prime(q)
+    reference = _modular_rank_dense(_dense_mod(m, q), q)
+    components = _components(m)
+    assert len(components) == union_find_components(m)
+    assert sum(c.nnz for c in components) == m.nnz
+    assert _modular_rank_components(components, q) == reference
+    # Every component through the sparse F_q loop, then through the dense kernel.
+    for fill in (2.0, 0.0):
+        with mock.patch.object(exactla, "DENSE_FILL", fill):
+            assert _modular_rank_components(components, q) == reference
+
+
+@pytest.mark.parametrize("k, p, seed, rank, primes", [
+    (3, 3, 0, 832, (2582278367, 2959022239)),
+    (4, 3, 5, 595, (2269037629, 2342985901)),
+])
+def test_rank_modular_golden_product_cells(k, p, seed, rank, primes):
+    # Values recorded from the dense-only engine this one replaced.
+    result = rank_modular(koszul_flattening(gen_product(7), k, p), 2, seed)
+    assert (result.rank, result.primes_used) == (rank, primes)
+
+
+def test_rank_modular_redraws_primes_that_hit_a_denominator():
+    rng = random.Random(3)
+    drawn = [random_prime(rng) for _ in range(4)]
+    assert drawn == [2731845331, 2771168831, 2728349933, 2737645621]
+    # Denominators divisible by the first and third draws force two redraws.
+    m = SparseMatrix.from_dense([
+        [Fraction(1, drawn[0] * drawn[2]), 1, 0],
+        [0, Fraction(2, 3), 1],
+        [1, 0, Fraction(-5, drawn[2])],
+    ])
+    result = rank_modular(m, 2, 3)
+    assert result.primes_used == (2771168831, 2737645621)
+    assert result.rank == 3
 
 
 def test_rank_auto_policy():

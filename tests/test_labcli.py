@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from flatrank import labcli
 from flatrank.labcli import (
     RankOptions,
     VerifyCase,
@@ -67,6 +68,28 @@ def test_flatten_respects_column_budget(capsys):
     )
     assert code == 2 and "columns" in err
 
+
+
+def test_flatten_refuses_over_budget_before_building(capsys, monkeypatch):
+    def never(*args):
+        raise AssertionError("the matrix must not be built")
+
+    monkeypatch.setattr(labcli, "koszul_flattening", never)
+    code, _, err = run_cli(
+        capsys, "flatten", "x1*x2*x3*x4*x5*x6*x7*x8*x9", "--kind", "koszul",
+        "--k", "4", "--p", "4", "--budget-cols", "2000",
+    )
+    assert code == 2
+    assert "matrix has 62370 columns, over the --budget-cols limit 2000" in err
+
+
+def test_rank_file_modular_ignores_declared_shape(capsys, tmp_path):
+    path = tmp_path / "diagonal.txt"
+    path.write_text("%%flatrank coordinate rational\n1000000 1000000 3\n"
+                    "1 1 1\n500000 500000 2/3\n1000000 1000000 -5\n")
+    code, out, _ = run_cli(capsys, "rank", str(path), "--modular")
+    assert code == 0
+    assert "rank: 3" in out
 
 def test_matrix_dump_and_rank_round_trip(capsys, tmp_path):
     path = tmp_path / "matrix.txt"
