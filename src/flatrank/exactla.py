@@ -304,14 +304,14 @@ class RankResult:
 
 
 def _integer_rows(m: SparseMatrix) -> list[dict[int, int]]:
-    """Nonzero rows as column->integer dicts, denominators cleared per row."""
-    rows: list[dict[int, Fraction]] = [dict() for _ in range(m.n_rows)]
+    """Nonzero rows in row order as column->integer dicts, denominators
+    cleared per row.  Memory follows nnz, not the declared row count."""
+    rows: dict[int, dict[int, Fraction]] = {}
     for (i, j), v in m._data.items():
-        rows[i][j] = v
+        rows.setdefault(i, {})[j] = v
     out = []
-    for row in rows:
-        if not row:
-            continue
+    for i in sorted(rows):
+        row = rows[i]
         scale = 1
         for v in row.values():
             scale = scale * v.denominator // gcd(scale, v.denominator)

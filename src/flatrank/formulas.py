@@ -233,29 +233,13 @@ def _bounded_compositions(total: int, parts: int, top: int) -> int:
     )
 
 
-def _enumerate_compositions(total: int, parts: int, top: int) -> int:
-    if parts == 0:
-        return 1 if total == 0 else 0
-    count = 0
-    stack = [(total, parts)]
-    while stack:
-        rem, left = stack.pop()
-        if left == 1:
-            if 1 <= rem <= top:
-                count += 1
-            continue
-        for v in range(max(1, rem - top * (left - 1)), min(top, rem - (left - 1)) + 1):
-            stack.append((rem - v, left - 1))
-    return count
-
-
 def num_ab(A: int, B: int, k: int, delta1: int, delta2: int, r: int) -> int:
     """Number of support classes with floor sum A and ceiling defect B:
     residue vectors beta in [0, delta2)^r with sum k - A*delta2 and exactly
     delta1 - B - A positive entries.  Zero for infeasible parameters.
 
-    Small instances are counted by direct enumeration of the positive
-    residues; larger ones by inclusion-exclusion on the composition count.
+    The positive residues are counted by inclusion-exclusion on the
+    composition count.
     """
     if delta1 < 1 or delta2 < 1 or r < 1 or k < 1:
         raise ValueError("parameters must be at least 1")
@@ -263,12 +247,7 @@ def num_ab(A: int, B: int, k: int, delta1: int, delta2: int, r: int) -> int:
     positives = delta1 - B - A
     if A < 0 or remainder < 0 or positives < 0 or positives > r:
         return 0
-    per_support = (
-        _enumerate_compositions(remainder, positives, delta2 - 1)
-        if binomial(remainder - 1, positives - 1) <= 10**6
-        else _bounded_compositions(remainder, positives, delta2 - 1)
-    )
-    return binomial(r, positives) * per_support
+    return binomial(r, positives) * _bounded_compositions(remainder, positives, delta2 - 1)
 
 
 def psp_rank_bounds(r: int, delta1: int, delta2: int, k: int) -> BoundReport:

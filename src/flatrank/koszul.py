@@ -12,10 +12,9 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .exactla import SparseMatrix, binomial
-from .symtensor import ExponentVector, Poly, monomial_basis, partial_derivative
+from .symtensor import ExponentVector, Poly, _assemble, monomial_basis, partial_derivative
 
 WedgeIndex = tuple[int, ...]
 
@@ -52,13 +51,9 @@ def _wedge_image(m: ExponentVector, w: WedgeIndex) -> dict:
     return out
 
 
-def _row_space(n_vars: int, degree: int, p: int):
-    rows = [
-        (m, w)
-        for m in monomial_basis(n_vars, degree)
-        for w in wedge_basis(n_vars, p)
-    ]
-    return rows, {label: i for i, label in enumerate(rows)}
+def _row_space(n_vars: int, degree: int, p: int) -> list:
+    wedges = wedge_basis(n_vars, p)
+    return [(m, w) for m in monomial_basis(n_vars, degree) for w in wedges]
 
 
 def exterior_derivative(a: int, p: int, n_vars: int) -> SparseMatrix:
@@ -69,17 +64,10 @@ def exterior_derivative(a: int, p: int, n_vars: int) -> SparseMatrix:
         raise ValueError("source degree must be at least 1")
     if not 0 <= p < n_vars:
         raise ValueError(f"wedge degree p={p} outside [0, {n_vars - 1}]")
-    cols = [
-        (m, w)
-        for m in monomial_basis(n_vars, a)
-        for w in wedge_basis(n_vars, p)
-    ]
-    rows, row_index = _row_space(n_vars, a - 1, p + 1)
-    entries = []
-    for j, (m, w) in enumerate(cols):
-        for key, coeff in _wedge_image(m, w).items():
-            entries.append((row_index[key], j, coeff))
-    return SparseMatrix(len(rows), len(cols), entries, row_labels=rows, col_labels=cols)
+    return _assemble(
+        ({m: 1} for m in monomial_basis(n_vars, a)), wedge_basis(n_vars, p), _wedge_image,
+        _row_space(n_vars, a - 1, p + 1), _row_space(n_vars, a, p),
+    )
 
 
 def koszul_flattening(P: Poly, k: int, p: int) -> SparseMatrix:
@@ -94,25 +82,10 @@ def koszul_flattening(P: Poly, k: int, p: int) -> SparseMatrix:
         raise ValueError(f"derivative order k={k} outside [1, {d - 1}]")
     if not 1 <= p < n:
         raise ValueError(f"wedge degree p={p} outside [1, {n - 1}]")
-    alphas = monomial_basis(n, k)
-    wedges = wedge_basis(n, p)
-    cols = [(alpha, w) for alpha in alphas for w in wedges]
-    rows, row_index = _row_space(n, d - k - 1, p + 1)
-    entries = []
-    for ai, alpha in enumerate(alphas):
-        deriv = partial_derivative(P, alpha)
-        if deriv.is_zero():
-            continue
-        for wi, w in enumerate(wedges):
-            j = ai * len(wedges) + wi
-            acc: dict[tuple, Fraction] = {}
-            for m, c in deriv.terms.items():
-                for key, coeff in _wedge_image(m, w).items():
-                    acc[key] = acc.get(key, Fraction(0)) + c * coeff
-            for key, value in acc.items():
-                if value:
-                    entries.append((row_index[key], j, value))
-    return SparseMatrix(len(rows), len(cols), entries, row_labels=rows, col_labels=cols)
+    return _assemble(
+        (partial_derivative(P, alpha).terms for alpha in monomial_basis(n, k)),
+        wedge_basis(n, p), _wedge_image, _row_space(n, d - k - 1, p + 1), _row_space(n, k, p),
+    )
 
 
 @dataclass(frozen=True)

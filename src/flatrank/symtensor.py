@@ -1,6 +1,7 @@
 """Homogeneous polynomials with exact coefficients: generators for the
-structured families under study, partial derivatives, and the classical
-flattening / shifted-partial matrix builders.
+structured families under study, partial derivatives, the classical
+flattening / shifted-partial matrix builders, and the assembly loop that
+every matrix builder linear in P goes through.
 
 Monomials are exponent tuples of fixed length ``n_vars``.  All monomial
 bases are enumerated in graded-lex order with x1 heaviest, so matrix
@@ -12,7 +13,8 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
+from typing import Callable, Iterable, Sequence
 
 from .exactla import SparseMatrix
 
@@ -349,6 +351,42 @@ def partial_derivative(P: Poly, alpha: ExponentVector) -> Poly:
     return Poly(P.n_vars, P.degree - order, terms)
 
 
+def _assemble(
+    sources: Iterable[dict],
+    extras: Sequence,
+    image: Callable[[ExponentVector, object], dict],
+    rows: Sequence,
+    cols: Sequence,
+) -> SparseMatrix:
+    """Matrix of a map that is linear in P, one column per (source, extra).
+
+    Column (s, e) holds the sum of c * image(m, e) over the terms c*x^m of
+    the s-th source (a monomial -> coefficient map); ``image`` returns a
+    map from row label to integer.  Sources are consumed one at a time.
+    Each source's coefficients are carried as integers over their lcm
+    denominator, which is divided out once per entry.
+    """
+    row_index = {label: i for i, label in enumerate(rows)}
+    entries = []
+    j = 0
+    for terms in sources:
+        if not terms:
+            j += len(extras)
+            continue
+        den = lcm(*(c.denominator for c in terms.values()))
+        scaled = [(m, c.numerator * (den // c.denominator)) for m, c in terms.items()]
+        for e in extras:
+            acc: dict = {}
+            for m, c in scaled:
+                for key, z in image(m, e).items():
+                    acc[key] = acc.get(key, 0) + c * z
+            for key, v in acc.items():
+                if v:
+                    entries.append((row_index[key], j, Fraction(v, den) if den > 1 else v))
+            j += 1
+    return SparseMatrix(len(rows), len(cols), entries, row_labels=rows, col_labels=cols)
+
+
 def catalecticant(P: Poly, k: int) -> SparseMatrix:
     """Matrix of the k-th flattening: column alpha is the coefficient vector
     of the alpha-th partial derivative in the degree-(d-k) monomial basis.
@@ -359,15 +397,11 @@ def catalecticant(P: Poly, k: int) -> SparseMatrix:
     d = P.degree
     if not 1 <= k < d:
         raise ValueError(f"derivative order k={k} outside [1, {d - 1}]")
-    cols = monomial_basis(P.n_vars, k)
-    rows = monomial_basis(P.n_vars, d - k)
-    row_index = {m: i for i, m in enumerate(rows)}
-    entries = []
-    for j, alpha in enumerate(cols):
-        deriv = partial_derivative(P, alpha)
-        for m, c in deriv.terms.items():
-            entries.append((row_index[m], j, c))
-    return SparseMatrix(len(rows), len(cols), entries, row_labels=rows, col_labels=cols)
+    alphas = monomial_basis(P.n_vars, k)
+    return _assemble(
+        (partial_derivative(P, alpha).terms for alpha in alphas), [None],
+        lambda m, _: {m: 1}, monomial_basis(P.n_vars, d - k), alphas,
+    )
 
 
 def shifted_partials(P: Poly, k: int, ell: int) -> SparseMatrix:
@@ -383,18 +417,12 @@ def shifted_partials(P: Poly, k: int, ell: int) -> SparseMatrix:
         raise ValueError("shift degree must be at least 1")
     alphas = monomial_basis(P.n_vars, k)
     shifts = monomial_basis(P.n_vars, ell)
-    rows = monomial_basis(P.n_vars, d - k + ell)
-    row_index = {m: i for i, m in enumerate(rows)}
-    cols = [(alpha, m) for alpha in alphas for m in shifts]
-    entries = []
-    for ai, alpha in enumerate(alphas):
-        deriv = partial_derivative(P, alpha)
-        for si, shift in enumerate(shifts):
-            j = ai * len(shifts) + si
-            for m, c in deriv.terms.items():
-                key = tuple(a + b for a, b in zip(m, shift))
-                entries.append((row_index[key], j, c))
-    return SparseMatrix(len(rows), len(cols), entries, row_labels=rows, col_labels=cols)
+    return _assemble(
+        (partial_derivative(P, alpha).terms for alpha in alphas), shifts,
+        lambda m, shift: {tuple(a + b for a, b in zip(m, shift)): 1},
+        monomial_basis(P.n_vars, d - k + ell),
+        [(alpha, m) for alpha in alphas for m in shifts],
+    )
 
 
 def apply_linear_map(P: Poly, g) -> Poly:

@@ -1,6 +1,7 @@
 """Scalar, sparse-matrix, and rank-engine behavior."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -84,6 +85,18 @@ def test_rank_exact_rejects_prime_field_scalars():
     m = SparseMatrix(2, 2, [(0, 0, 1), (1, 1, 3)], modulus=2**31 + 11)
     with pytest.raises(ValueError):
         rank_exact(m)
+
+
+def test_rank_exact_memory_follows_nnz_not_declared_rows():
+    m = SparseMatrix(2_000_000, 3, [(0, 0, 1), (999_999, 1, Fraction(1, 2)), (1_999_999, 2, 3)])
+    tracemalloc.start()
+    try:
+        result = rank_exact(m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.rank == 3
+    assert peak < 10 * 2**20
 
 
 def test_rank_exact_matches_dense_oracle_on_random_matrices():
