@@ -6,7 +6,6 @@ from .exactla import (
     RankResult,
     SparseMatrix,
     binomial,
-    block_rank_sum,
     rank_auto,
     rank_exact,
     rank_modular,
@@ -30,14 +29,10 @@ from .formulas import (
     veronese_point_rank,
 )
 from .koszul import (
-    WeightBlock,
     exterior_derivative,
-    fast_rank_product,
     koszul_flattening,
     wedge_basis,
     wedge_insert,
-    weight_block_matrix,
-    weight_blocks_product,
 )
 from .symtensor import (
     InhomogeneityError,

@@ -1,5 +1,5 @@
-"""Exact sparse linear algebra: rational and prime-field scalars, labeled
-sparse matrices, and deterministic rank computation.
+"""Exact sparse linear algebra: labeled sparse matrices over the rationals and
+deterministic rank computation.
 
 Two rank engines are provided.  ``rank_exact`` runs a fraction-free integer
 elimination (denominators are cleared row by row, updates are
@@ -91,13 +91,12 @@ def random_prime(rng: random.Random) -> int:
 class SparseMatrix:
     """Immutable sparse matrix with exact entries and optional basis labels.
 
-    Entries are ``Fraction`` values when ``modulus`` is None, otherwise
-    integer residues in [1, modulus).  Zero entries are never stored.
+    Entries are ``Fraction`` values.  Zero entries are never stored.
     Labels, when present, are opaque hashable objects, one per row/column,
     pairwise distinct.
     """
 
-    __slots__ = ("n_rows", "n_cols", "_data", "row_labels", "col_labels", "modulus")
+    __slots__ = ("n_rows", "n_cols", "_data", "row_labels", "col_labels")
 
     def __init__(
         self,
@@ -106,23 +105,18 @@ class SparseMatrix:
         entries: Iterable[tuple[int, int, object]] = (),
         row_labels: Sequence | None = None,
         col_labels: Sequence | None = None,
-        modulus: int | None = None,
     ):
         if n_rows < 0 or n_cols < 0:
             raise ValueError("matrix dimensions must be non-negative")
         self.n_rows = n_rows
         self.n_cols = n_cols
-        self.modulus = modulus
         data: dict[tuple[int, int], object] = {}
         for i, j, value in entries:
             if not (0 <= i < n_rows and 0 <= j < n_cols):
                 raise ValueError(f"entry ({i}, {j}) outside a {n_rows}x{n_cols} matrix")
-            if modulus is None:
-                if isinstance(value, float):
-                    raise TypeError("exact matrices do not accept floats")
-                value = Fraction(value)
-            else:
-                value = int(value) % modulus
+            if isinstance(value, float):
+                raise TypeError("exact matrices do not accept floats")
+            value = Fraction(value)
             if (i, j) in data:
                 raise ValueError(f"duplicate entry at ({i}, {j})")
             if value:
@@ -147,7 +141,7 @@ class SparseMatrix:
         """Wrap an already validated rational entry dict, without copying."""
         m = cls.__new__(cls)
         m.n_rows, m.n_cols, m._data = n_rows, n_cols, data
-        m.row_labels = m.col_labels = m.modulus = None
+        m.row_labels = m.col_labels = None
         return m
 
     @classmethod
@@ -174,8 +168,7 @@ class SparseMatrix:
     def entry(self, i: int, j: int):
         if not (0 <= i < self.n_rows and 0 <= j < self.n_cols):
             raise IndexError((i, j))
-        zero = Fraction(0) if self.modulus is None else 0
-        return self._data.get((i, j), zero)
+        return self._data.get((i, j), Fraction(0))
 
     def entries(self) -> list[tuple[int, int, object]]:
         return [(i, j, self._data[i, j]) for i, j in sorted(self._data)]
@@ -187,13 +180,12 @@ class SparseMatrix:
         if not isinstance(other, SparseMatrix):
             return NotImplemented
         return (
-            (self.n_rows, self.n_cols, self.modulus) == (other.n_rows, other.n_cols, other.modulus)
+            (self.n_rows, self.n_cols) == (other.n_rows, other.n_cols)
             and self._data == other._data
         )
 
     def __repr__(self) -> str:
-        kind = "Q" if self.modulus is None else f"F_{self.modulus}"
-        return f"SparseMatrix({self.n_rows}x{self.n_cols} over {kind}, nnz={self.nnz})"
+        return f"SparseMatrix({self.n_rows}x{self.n_cols} over Q, nnz={self.nnz})"
 
     def transpose(self) -> "SparseMatrix":
         return SparseMatrix(
@@ -202,7 +194,6 @@ class SparseMatrix:
             [(j, i, v) for (i, j), v in self._data.items()],
             row_labels=self.col_labels,
             col_labels=self.row_labels,
-            modulus=self.modulus,
         )
 
     def select_columns(self, indices: Sequence[int]) -> "SparseMatrix":
@@ -217,21 +208,21 @@ class SparseMatrix:
             labels = [self.col_labels[j] for j in indices]
         return SparseMatrix(
             self.n_rows, len(indices), entries,
-            row_labels=self.row_labels, col_labels=labels, modulus=self.modulus,
+            row_labels=self.row_labels, col_labels=labels,
         )
 
     def hstack(self, other: "SparseMatrix") -> "SparseMatrix":
-        if self.n_rows != other.n_rows or self.modulus != other.modulus:
+        if self.n_rows != other.n_rows:
             raise ValueError("incompatible matrices for hstack")
         entries = list(self.entries())
         entries.extend((i, j + self.n_cols, v) for i, j, v in other.entries())
         return SparseMatrix(
             self.n_rows, self.n_cols + other.n_cols, entries,
-            row_labels=self.row_labels, modulus=self.modulus,
+            row_labels=self.row_labels,
         )
 
     def multiply(self, other: "SparseMatrix") -> "SparseMatrix":
-        if self.n_cols != other.n_rows or self.modulus != other.modulus:
+        if self.n_cols != other.n_rows:
             raise ValueError("incompatible matrices for multiply")
         by_row: dict[int, list[tuple[int, object]]] = {}
         for (i, j), v in other._data.items():
@@ -244,13 +235,11 @@ class SparseMatrix:
         entries = [(i, j, v) for (i, j), v in acc.items() if v]
         return SparseMatrix(
             self.n_rows, other.n_cols, entries,
-            row_labels=self.row_labels, col_labels=other.col_labels, modulus=self.modulus,
+            row_labels=self.row_labels, col_labels=other.col_labels,
         )
 
     def to_coordinate_text(self) -> str:
         """Coordinate text dump (1-based indices, one 'row col value' line per entry)."""
-        if self.modulus is not None:
-            raise ValueError("only rational matrices are dumped")
         lines = ["%%flatrank coordinate rational", f"{self.n_rows} {self.n_cols} {self.nnz}"]
         for i, j, v in self.entries():
             lines.append(f"{i + 1} {j + 1} {v}")
@@ -288,7 +277,6 @@ class RankResult:
     method: str
     primes_used: tuple[int, ...] = ()
     is_certified_lower_bound: bool = False
-    block_ranks: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if self.method not in ("exact_rational", "modular"):
@@ -404,8 +392,6 @@ def _sparse_integer_rank(rows: list[dict[int, int]]) -> int:
 
 def rank_exact(m: SparseMatrix) -> RankResult:
     """True rank over the rationals (deterministic, fraction-free elimination)."""
-    if m.modulus is not None:
-        raise ValueError("rank_exact requires rational scalars")
     return RankResult(_sparse_integer_rank(_integer_rows(m)), "exact_rational")
 
 
@@ -541,8 +527,6 @@ def rank_modular(m: SparseMatrix, prime_count: int = 2, seed: int = 0) -> RankRe
     Reproducible from ``seed``; primes that divide a denominator of m are
     redrawn.  The result is a certified lower bound on the true rank.
     """
-    if m.modulus is not None:
-        raise ValueError("rank_modular reduces rational matrices itself")
     if prime_count < 1:
         raise ValueError("prime_count must be at least 1")
     components = _components(m)
@@ -565,30 +549,3 @@ def rank_auto(m: SparseMatrix, seed: int = 0, prime_count: int = 2) -> RankResul
         return rank_exact(m)
     return rank_modular(m, prime_count, seed)
 
-
-def block_rank_sum(
-    blocks: Sequence[SparseMatrix],
-    ranker: str = "exact",
-    prime_count: int = 2,
-    seed: int = 0,
-) -> RankResult:
-    """Sum of per-block ranks for a map whose image splits along the blocks.
-
-    The caller asserts that the blocks restrict one linear map to a
-    decomposition with independent images; under that assertion the sum is
-    the rank of the assembled map.
-    """
-    if ranker not in ("exact", "modular"):
-        raise ValueError(f"unknown ranker {ranker!r}")
-    per_block = []
-    primes: set[int] = set()
-    for index, block in enumerate(blocks):
-        if ranker == "exact":
-            result = rank_exact(block)
-        else:
-            result = rank_modular(block, prime_count, seed + index)
-            primes.update(result.primes_used)
-        per_block.append(result.rank)
-    if ranker == "modular" and primes:
-        return RankResult(sum(per_block), "modular", tuple(sorted(primes)), True, tuple(per_block))
-    return RankResult(sum(per_block), "exact_rational", (), False, tuple(per_block))

@@ -7,12 +7,13 @@ frozen seed scheme below and requires 9 of 10 successes per cell.
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 from flatrank.exactla import (
     SparseMatrix,
+    _components,
     binomial,
-    block_rank_sum,
     rank_exact,
     rank_modular,
 )
@@ -30,10 +31,7 @@ from flatrank.formulas import (
 )
 from flatrank.koszul import (
     exterior_derivative,
-    fast_rank_product,
     koszul_flattening,
-    weight_block_matrix,
-    weight_blocks_product,
 )
 from flatrank.labcli import RankOptions, run_scan
 from flatrank.symtensor import (
@@ -47,6 +45,7 @@ from flatrank.symtensor import (
     gen_sum_of_products,
     set_variables_to_zero,
 )
+from test_koszul import expected_component_ranks
 
 
 def report(criterion: str, ok: bool, failures=None):
@@ -75,9 +74,6 @@ def test_c02_product_koszul_rank_vs_both_forms():
         for k in range(1, d):
             for p in range(1, d):
                 expected = S_formula(p, d, k)
-                if expected != fast_rank_product(d, k, p):
-                    failures.append(("forms", d, k, p))
-                    continue
                 matrix = koszul_flattening(product, k, p)
                 if d <= 5:
                     observed = rank_exact(matrix).rank
@@ -324,16 +320,17 @@ def test_c12_algebraic_invariants():
 
 
 def test_block_sum_consistency_full_grid():
-    # companion check to criterion 02: the disjoint-block shortcut equals the
-    # assembled rank on every product cell up to degree 6
+    # companion check to criterion 02: the connected components of every
+    # product cell up to degree 6 are its weight blocks, with the block ranks,
+    # and their exact ranks add up to the closed form
     failures = []
     for d in range(2, 7):
+        product = gen_product(d)
         for k in range(1, d):
             for p in range(1, d):
-                mats = [
-                    weight_block_matrix(b, d, k, p)
-                    for b in weight_blocks_product(d, k, p)
-                ]
-                if block_rank_sum(mats).rank != fast_rank_product(d, k, p):
+                components = _components(koszul_flattening(product, k, p))
+                ranks = Counter(rank_exact(c).rank for c in components)
+                if (ranks != expected_component_ranks(d, k, p)
+                        or sum(r * n for r, n in ranks.items()) != S_formula(p, d, k)):
                     failures.append((d, k, p))
     report("block-sum consistency d<=6", not failures, failures)

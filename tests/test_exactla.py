@@ -16,7 +16,6 @@ from flatrank.exactla import (
     RankResult,
     SparseMatrix,
     binomial,
-    block_rank_sum,
     is_prime,
     random_prime,
     rank_auto,
@@ -29,7 +28,7 @@ from flatrank.exactla import (
     _modular_rank_components,
     _modular_rank_dense,
 )
-from flatrank.koszul import koszul_flattening, weight_block_matrix, weight_blocks_product
+from flatrank.koszul import koszul_flattening
 from flatrank.symtensor import catalecticant, gen_power_sum_power, gen_product
 
 
@@ -79,12 +78,6 @@ def test_rank_exact_power_sum_catalecticant():
     m = catalecticant(gen_power_sum_power(2, 2, 2), 2)
     assert (m.n_rows, m.n_cols) == (3, 3)
     assert rank_exact(m).rank == 3
-
-
-def test_rank_exact_rejects_prime_field_scalars():
-    m = SparseMatrix(2, 2, [(0, 0, 1), (1, 1, 3)], modulus=2**31 + 11)
-    with pytest.raises(ValueError):
-        rank_exact(m)
 
 
 def test_rank_exact_memory_follows_nnz_not_declared_rows():
@@ -222,6 +215,41 @@ def test_component_rank_mod_q_matches_dense_kernel(m, q):
             assert _modular_rank_components(components, q) == reference
 
 
+@st.composite
+def planted_rank_blocks(draw):
+    """Blocks B*C from small integer factors on the diagonal, rows and columns
+    permuted and padded, some rows scaled by a rational."""
+    factor = st.integers(-3, 3)
+    entries = []
+    n_rows = n_cols = 0
+    for rows, inner, cols in draw(st.lists(
+            st.tuples(st.integers(1, 5), st.integers(1, 3), st.integers(1, 5)),
+            min_size=2, max_size=5)):
+        b = [[draw(factor) for _ in range(inner)] for _ in range(rows)]
+        c = [[draw(factor) for _ in range(cols)] for _ in range(inner)]
+        for i in range(rows):
+            for j in range(cols):
+                v = sum(b[i][t] * c[t][j] for t in range(inner))
+                if v:
+                    entries.append((n_rows + i, n_cols + j, v))
+        n_rows += rows
+        n_cols += cols
+    pad_rows, pad_cols = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    row_perm = draw(st.permutations(range(n_rows + pad_rows)))
+    col_perm = draw(st.permutations(range(n_cols + pad_cols)))
+    scale = draw(st.lists(
+        st.builds(Fraction, st.sampled_from([1, -1, 2, -3]), st.sampled_from([1, 2, 3, 4])),
+        min_size=n_rows, max_size=n_rows))
+    return SparseMatrix(n_rows + pad_rows, n_cols + pad_cols,
+                        [(row_perm[i], col_perm[j], scale[i] * v) for i, j, v in entries])
+
+
+@settings(max_examples=60, deadline=None)
+@given(planted_rank_blocks(), st.integers(0, 2**16))
+def test_rank_exact_equals_rank_modular_on_planted_ranks(m, seed):
+    assert rank_exact(m).rank == rank_modular(m, 2, seed).rank
+
+
 @pytest.mark.parametrize("k, p, seed, rank, primes", [
     (3, 3, 0, 832, (2582278367, 2959022239)),
     (4, 3, 5, 595, (2269037629, 2342985901)),
@@ -258,24 +286,11 @@ def test_rank_auto_policy():
     assert result.rank == 8
 
 
-def test_block_rank_sum_trivial_cases():
-    empty = block_rank_sum([])
-    assert empty.rank == 0
-    assert empty.block_ranks == ()
-    direct_sum = block_rank_sum([SparseMatrix.identity(2), SparseMatrix.identity(3)])
-    assert direct_sum.rank == 5
-    assert direct_sum.block_ranks == (2, 3)
-
-
-def test_block_rank_sum_weight_blocks_match_assembled_rank():
-    # the weight blocks of the exterior derivative on squarefree quadratics, d=3
-    blocks = weight_blocks_product(3, 1, 1)
-    mats = [weight_block_matrix(b, 3, 1, 1) for b in blocks]
-    summed = block_rank_sum(mats)
-    assert summed.rank == 8
-    assert summed.rank == rank_exact(koszul_flattening(gen_product(3), 1, 1)).rank
-    modular = block_rank_sum(mats, ranker="modular", seed=3)
-    assert modular.rank == 8
+def test_rank_modular_product_cell_matches_exact():
+    # x1*x2*x3 at (1,1): seven weight blocks, ranked together mod q
+    m = koszul_flattening(gen_product(3), 1, 1)
+    modular = rank_modular(m, 2, 3)
+    assert modular.rank == rank_exact(m).rank == 8
     assert modular.method == "modular"
     assert modular.is_certified_lower_bound
 

@@ -24,7 +24,7 @@ from flatrank.formulas import (
     secant_chow_koszul_ub,
     veronese_point_rank,
 )
-from flatrank.koszul import fast_rank_product, koszul_flattening
+from flatrank.koszul import koszul_flattening
 from flatrank.symtensor import (
     Poly,
     catalecticant,
@@ -58,13 +58,6 @@ def test_s_formula_degree_identity():
     for d in range(3, 21):
         assert S_formula(1, d, 1) == d * d - 1
     assert S_formula(1, 2, 1) == 1
-
-
-def test_s_matches_fast_rank_everywhere():
-    for d in range(2, 13):
-        for k in range(1, d):
-            for p in range(1, d):
-                assert S_formula(p, d, k) == fast_rank_product(d, k, p)
 
 
 def test_hook_dim_values():

@@ -1,21 +1,15 @@
 """Wedge combinatorics, the exterior derivative, Koszul flattenings, and
-the weight-block shortcut."""
+the weight blocks of the product's Koszul flattening."""
 
 import random
+from collections import Counter, defaultdict
+from math import comb
 
 import pytest
 
-from flatrank.exactla import binomial, block_rank_sum, rank_exact, rank_modular
+from flatrank.exactla import _components, binomial, rank_exact, rank_modular
 from flatrank.formulas import S_formula, hook_dim
-from flatrank.koszul import (
-    exterior_derivative,
-    fast_rank_product,
-    koszul_flattening,
-    wedge_basis,
-    wedge_insert,
-    weight_block_matrix,
-    weight_blocks_product,
-)
+from flatrank.koszul import exterior_derivative, koszul_flattening, wedge_basis, wedge_insert
 from flatrank.symtensor import Poly, gen_product, gen_random
 
 
@@ -96,53 +90,114 @@ def test_koszul_flattening_labels():
     assert m.row_labels[0] == ((1, 0, 0), (1, 2))
 
 
+def expected_component_ranks(d, k, p):
+    """Multiset of the nonzero ranks of the torus-weight blocks of the Koszul
+    flattening of x1*...*xd.  A block shares s variables between monomial and
+    wedge and splits free = d-k+p-2s more between them: there are
+    C(d,s)*C(d-s,free) blocks of overlap s, each of rank C(free-1, p-s)."""
+    ranks = Counter()
+    for s in range(max(0, p - k), min(p, d - k) + 1):
+        free = d - k + p - 2 * s
+        rank = comb(free - 1, p - s) if free else 0
+        if rank:
+            ranks[rank] += comb(d, s) * comb(d - s, free)
+    return ranks
+
+
+def test_product_components_are_weight_blocks():
+    # The row/column split finds the weight blocks by itself: one connected
+    # component per block of nonzero rank, so the blocks' images are
+    # independent and their ranks add up to the closed form.
+    for d in range(2, 7):
+        product = gen_product(d)
+        for k in range(1, d):
+            for p in range(1, d):
+                components = _components(koszul_flattening(product, k, p))
+                ranks = Counter(rank_exact(c).rank for c in components)
+                assert ranks == expected_component_ranks(d, k, p), (d, k, p)
+                assert sum(r * n for r, n in ranks.items()) == S_formula(p, d, k)
+    # d=3, (1,1): x2x3 (x) x1, x1x3 (x) x2 and x1x2 (x) x3 span the one
+    # overlap-free block of rank 2; each of the six overlap-1 blocks is 1x1.
+    components = _components(koszul_flattening(gen_product(3), 1, 1))
+    shapes = Counter((c.n_rows, c.n_cols, rank_exact(c).rank) for c in components)
+    assert shapes == Counter({(3, 3, 2): 1, (1, 1, 1): 6})
+
+
+def product_weight_blocks(m):
+    """Columns of the Koszul flattening m of x1*...*xd grouped by torus
+    weight.  Column (alpha, w) with alpha squarefree carries x^(1-alpha) (x) w,
+    of weight (1-alpha) + e_w; the other columns are zero.  The overlap s of a
+    block is the number of 2s in its weight."""
+    blocks = defaultdict(list)
+    for j, (alpha, w) in enumerate(m.col_labels):
+        if max(alpha) > 1:
+            continue
+        weight = [1 - a for a in alpha]
+        for v in w:
+            weight[v - 1] += 1
+        blocks[tuple(weight)].append(j)
+    return blocks
+
+
 def test_weight_blocks_small_case():
-    blocks = weight_blocks_product(3, 1, 1)
-    by_overlap = {}
-    for b in blocks:
-        by_overlap.setdefault(b.s, []).append(b)
-    assert len(by_overlap[0]) == 1 and len(by_overlap[1]) == 6
-    assert by_overlap[0][0].block_rank == 2
-    assert all(b.block_rank == 1 for b in by_overlap[1])
-    assert sum(b.block_rank for b in blocks) == 8
+    m = koszul_flattening(gen_product(3), 1, 1)
+    blocks = product_weight_blocks(m)
+    by_overlap = Counter(weight.count(2) for weight in blocks)
+    assert by_overlap == Counter({0: 1, 1: 6})
+    ranks = {weight: rank_exact(m.select_columns(cols)).rank for weight, cols in blocks.items()}
+    assert ranks[(1, 1, 1)] == 2
+    assert all(r == 1 for weight, r in ranks.items() if weight != (1, 1, 1))
+    assert sum(ranks.values()) == 8
     # the overlap-free block spans the three squarefree complements
-    full = by_overlap[0][0]
-    m = weight_block_matrix(full, 3, 1, 1)
-    assert set(m.col_labels) == {
-        ((1, 1, 0), (3,)), ((1, 0, 1), (2,)), ((0, 1, 1), (1,))
+    # x2x3 (x) x1, x1x3 (x) x2 and x1x2 (x) x3
+    assert {m.col_labels[j] for j in blocks[(1, 1, 1)]} == {
+        ((1, 0, 0), (1,)), ((0, 1, 0), (2,)), ((0, 0, 1), (3,))
     }
 
 
 def test_weight_block_counts_match_formula():
     for d in (3, 4, 5):
+        product = gen_product(d)
         for k in range(1, d):
             for p in range(1, d):
-                blocks = weight_blocks_product(d, k, p)
+                m = koszul_flattening(product, k, p)
+                counts = Counter(weight.count(2) for weight in product_weight_blocks(m))
+                expected = Counter()
                 for s in range(max(0, p - k), min(p, d - k) + 1):
-                    expected = binomial(d, s) * binomial(d - s, d - k + p - 2 * s)
-                    assert sum(1 for b in blocks if b.s == s) == expected
+                    expected[s] = binomial(d, s) * binomial(d - s, d - k + p - 2 * s)
+                assert counts == expected, (d, k, p)
+                # one component of the engine's split per block of nonzero rank
+                assert len(_components(m)) == sum(expected_component_ranks(d, k, p).values())
 
 
 def test_weight_block_matrices_achieve_stated_rank():
     for d, k, p in ((3, 1, 1), (4, 2, 1), (4, 1, 2), (5, 2, 2)):
-        for block in weight_blocks_product(d, k, p):
-            m = weight_block_matrix(block, d, k, p)
-            assert rank_exact(m).rank == block.block_rank
+        m = koszul_flattening(gen_product(d), k, p)
+        total = 0
+        for weight, cols in product_weight_blocks(m).items():
+            s = weight.count(2)
+            stated = binomial(d - k + p - 2 * s - 1, p - s)
+            assert rank_exact(m.select_columns(cols)).rank == stated, (d, k, p, weight)
+            total += stated
+        assert total == rank_exact(m).rank == S_formula(p, d, k)
 
 
 def test_full_overlap_blocks_have_rank_zero():
     # at s = d-k the monomial support equals the shared set, so every image
-    # vector dies on a self-wedge
-    blocks = weight_blocks_product(3, 2, 2)
-    full_overlap = [b for b in blocks if b.s == 1]
-    assert full_overlap and all(b.block_rank == 0 for b in full_overlap)
-    assert fast_rank_product(3, 2, 2) == 1
+    # vector dies on a self-wedge: x_l (x) w with l in w, for d=3, k=p=2
+    m = koszul_flattening(gen_product(3), 2, 2)
+    full_overlap = [j for j, (alpha, w) in enumerate(m.col_labels)
+                    if max(alpha) == 1 and alpha.index(0) + 1 in w]
+    assert len(full_overlap) == 6
+    assert not {j for _, j, _ in m.entries()} & set(full_overlap)
+    assert rank_exact(m).rank == S_formula(2, 3, 2) == 1
 
 
 def test_fast_rank_product_values():
-    assert fast_rank_product(3, 1, 1) == 8
-    assert fast_rank_product(4, 2, 1) == 20
-    assert fast_rank_product(5, 2, 2) == 76
+    # the modular rank, the engine's fast path, on the split product matrix
+    for (d, k, p), expected in (((3, 1, 1), 8), ((4, 2, 1), 20), ((5, 2, 2), 76)):
+        result = rank_modular(koszul_flattening(gen_product(d), k, p), 2, d)
+        assert result.rank == expected
 
 
 def test_fast_rank_product_matches_matrix_rank():
@@ -150,25 +205,21 @@ def test_fast_rank_product_matches_matrix_rank():
         product = gen_product(d)
         for k in range(1, d):
             for p in range(1, d):
-                assert (
-                    fast_rank_product(d, k, p)
-                    == rank_exact(koszul_flattening(product, k, p)).rank
-                )
+                m = koszul_flattening(product, k, p)
+                assert rank_modular(m, 2, 10 * k + p).rank == rank_exact(m).rank
 
 
 def test_block_sum_equals_assembled_rank():
+    # the component ranks add up to the rank of the assembled matrix, which
+    # is the closed form
     for d in range(2, 6):
         product = gen_product(d)
         for k in range(1, d):
             for p in range(1, d):
-                mats = [
-                    weight_block_matrix(b, d, k, p)
-                    for b in weight_blocks_product(d, k, p)
-                ]
-                assert (
-                    block_rank_sum(mats).rank
-                    == rank_exact(koszul_flattening(product, k, p)).rank
-                )
+                m = koszul_flattening(product, k, p)
+                assembled = rank_exact(m).rank
+                assert sum(rank_exact(c).rank for c in _components(m)) == assembled
+                assert assembled == S_formula(p, d, k)
 
 
 def test_image_contained_in_squarefree_part():
@@ -217,11 +268,4 @@ def test_product_rank_strictly_below_generic():
     for d in (6, 7):
         for k in range(-(-d // 2), d - 2):
             for p in range(1, d):
-                assert fast_rank_product(d, k, p) < hook_dim(d, k, p)
-
-
-def test_fast_rank_agrees_with_closed_form():
-    for d in range(2, 9):
-        for k in range(1, d):
-            for p in range(1, d):
-                assert fast_rank_product(d, k, p) == S_formula(p, d, k)
+                assert S_formula(p, d, k) < hook_dim(d, k, p)
