@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import comb, gcd
+from operator import attrgetter
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -91,7 +92,9 @@ def random_prime(rng: random.Random) -> int:
 class SparseMatrix:
     """Immutable sparse matrix with exact entries and optional basis labels.
 
-    Entries are ``Fraction`` values.  Zero entries are never stored.
+    Entries are ints or Fractions: ints and Fractions are stored as they
+    come, any other rational number as a Fraction, and floats are refused.
+    Zero entries are never stored.
     Labels, when present, are opaque hashable objects, one per row/column,
     pairwise distinct.
     """
@@ -114,9 +117,11 @@ class SparseMatrix:
         for i, j, value in entries:
             if not (0 <= i < n_rows and 0 <= j < n_cols):
                 raise ValueError(f"entry ({i}, {j}) outside a {n_rows}x{n_cols} matrix")
-            if isinstance(value, float):
-                raise TypeError("exact matrices do not accept floats")
-            value = Fraction(value)
+            kind = type(value)
+            if kind is not int and kind is not Fraction:
+                if isinstance(value, float):
+                    raise TypeError("exact matrices do not accept floats")
+                value = Fraction(value)
             if (i, j) in data:
                 raise ValueError(f"duplicate entry at ({i}, {j})")
             if value:
@@ -395,18 +400,30 @@ def rank_exact(m: SparseMatrix) -> RankResult:
     return RankResult(_sparse_integer_rank(_integer_rows(m)), "exact_rational")
 
 
-def _residue(v: Fraction, q: int) -> int:
-    """v mod q; ValueError when its denominator vanishes mod q."""
-    if v.denominator == 1:
-        return v.numerator % q
-    return v.numerator % q * pow(v.denominator, -1, q) % q
+def _residues(values: list, q: int) -> np.ndarray:
+    """Each stored value (an int or a Fraction) mod q, as int64; ValueError
+    when a denominator vanishes mod q.  One inverse is computed per distinct
+    denominator."""
+    if Fraction not in set(map(type, values)):
+        return (np.array(values, dtype=object) % q).astype(np.int64)
+    num = np.array(list(map(attrgetter("numerator"), values)), dtype=object)
+    den = np.array(list(map(attrgetter("denominator"), values)), dtype=object)
+    out = num % q
+    split = np.flatnonzero(den != 1)
+    if split.size:
+        dens, which = np.unique(den[split], return_inverse=True)
+        inverses = np.array([pow(int(x), -1, q) for x in dens], dtype=object)
+        out[split] = out[split] * inverses[which] % q
+    return out.astype(np.int64)
 
 
 def _dense_mod(m: SparseMatrix, q: int) -> np.ndarray:
     """Reduce a rational matrix mod q; ValueError when a denominator vanishes."""
     a = np.zeros((m.n_rows, m.n_cols), dtype=np.int64)
-    for (i, j), v in m._data.items():
-        a[i, j] = _residue(v, q)
+    nnz = m.nnz
+    if nnz:
+        ij = np.fromiter(chain.from_iterable(m._data), np.int64, 2 * nnz).reshape(nnz, 2)
+        a[ij[:, 0], ij[:, 1]] = _residues(list(m._data.values()), q)
     return a
 
 
@@ -513,8 +530,7 @@ def _modular_rank_components(components: Sequence[SparseMatrix], q: int) -> int:
             rank += _modular_rank_dense(_dense_mod(comp, q), q)
             continue
         rows: dict[int, dict[int, int]] = {}
-        for (i, j), v in comp._data.items():
-            r = _residue(v, q)
+        for (i, j), r in zip(comp._data, _residues(list(comp._data.values()), q).tolist()):
             if r:
                 rows.setdefault(i, {})[j] = r
         rank += _markowitz_rank(list(rows.values()), update)

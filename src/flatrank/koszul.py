@@ -5,15 +5,32 @@ Wedge basis elements are strictly increasing tuples of 1-based variable
 indices.  Inserting a variable into a sorted wedge carries the sign
 (-1)^(number of smaller indices already present); inserting a repeated
 variable gives zero.
+
+Both builders compile an integer pattern.  The exterior derivative sends
+x^m (x) w to the sum over the variables x_i of m with i not in w of
+sign * m_i * x^(m - e_i) (x) (w with i inserted), so every entry of a Koszul
+flattening is the single term c_beta * falling factors * m_i * sign with
+beta = m' + e_i + alpha; row and column indices come from graded-lex ranks
+and a table of wedge insertions.
 """
 
 from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
+from math import comb
+
+import numpy as np
 
 from .exactla import SparseMatrix
-from .symtensor import ExponentVector, Poly, _assemble, monomial_basis, partial_derivative
+from .symtensor import (
+    Poly,
+    _derivative_pattern,
+    _from_pattern,
+    _glex_rank,
+    _times,
+    monomial_basis,
+)
 
 WedgeIndex = tuple[int, ...]
 
@@ -34,20 +51,39 @@ def wedge_insert(v: int, w: WedgeIndex):
     return sign, w[:pos] + (v,) + w[pos:]
 
 
-def _wedge_image(m: ExponentVector, w: WedgeIndex) -> dict:
-    """Image of the monomial tensor m (x) w under the exterior derivative,
-    as a map (smaller monomial, bigger wedge) -> integer coefficient."""
-    out: dict[tuple[ExponentVector, WedgeIndex], int] = {}
-    for i, e in enumerate(m):
-        if not e:
-            continue
-        ins = wedge_insert(i + 1, w)
-        if ins is None:
-            continue
-        sign, w2 = ins
-        key = (m[:i] + (e - 1,) + m[i + 1:], w2)
-        out[key] = out.get(key, 0) + sign * e
-    return out
+def _insertions(n_vars: int, p: int) -> np.ndarray:
+    """Array of shape (3, n_vars, C(n_vars - 1, p)): for each variable
+    x_{i+1}, the index of every p-wedge w without it, the index of the
+    inserted (p+1)-wedge and the sign of the insertion."""
+    bigger = {w: r for r, w in enumerate(wedge_basis(n_vars, p + 1))}
+    table: list[list] = [[] for _ in range(n_vars)]
+    for r, w in enumerate(wedge_basis(n_vars, p)):
+        for i in range(n_vars):
+            ins = wedge_insert(i + 1, w)
+            if ins is not None:
+                table[i].append((r, bigger[ins[1]], ins[0]))
+    out = np.array(table, dtype=np.int64).reshape(n_vars, comb(n_vars - 1, p), 3)
+    return out.transpose(2, 0, 1)
+
+
+def _exterior_pattern(group, m, degree: int, factor, n_vars: int, p: int):
+    """Pattern (row, col, source, factor) of the exterior derivative applied
+    to the tensors x^m[s] (x) w, over all p-wedges w, with column
+    group[s] * C(n, p) + index(w) and row index(m - e_i) * C(n, p+1) +
+    index(w with i inserted); factor[s] scales source s."""
+    source, i = np.nonzero(m)
+    scaled = _times(factor[source], m[source, i])
+    lower = m[source]
+    lower[np.arange(source.size), i] -= 1
+    lower_rank = _glex_rank(lower, degree - 1)
+    small, big, sign = _insertions(n_vars, p)
+    width = small.shape[1]
+    pick = np.repeat(np.arange(source.size), width)
+    slot = np.tile(np.arange(width), source.size)
+    var = i[pick]
+    row = lower_rank[pick] * comb(n_vars, p + 1) + big[var, slot]
+    col = group[source][pick] * comb(n_vars, p) + small[var, slot]
+    return row, col, source[pick], _times(scaled[pick], sign[var, slot])
 
 
 def _row_space(n_vars: int, degree: int, p: int) -> list:
@@ -63,8 +99,12 @@ def exterior_derivative(a: int, p: int, n_vars: int) -> SparseMatrix:
         raise ValueError("source degree must be at least 1")
     if not 0 <= p < n_vars:
         raise ValueError(f"wedge degree p={p} outside [0, {n_vars - 1}]")
-    return _assemble(
-        ({m: 1} for m in monomial_basis(n_vars, a)), wedge_basis(n_vars, p), _wedge_image,
+    sources = np.array(monomial_basis(n_vars, a), dtype=np.int64)
+    ones = np.ones(len(sources), dtype=np.int64)
+    row, col, source, factor = _exterior_pattern(
+        np.arange(len(sources)), sources, a, ones, n_vars, p)
+    return _from_pattern(
+        [1], row, col, np.zeros_like(source), factor,
         _row_space(n_vars, a - 1, p + 1), _row_space(n_vars, a, p),
     )
 
@@ -81,7 +121,9 @@ def koszul_flattening(P: Poly, k: int, p: int) -> SparseMatrix:
         raise ValueError(f"derivative order k={k} outside [1, {d - 1}]")
     if not 1 <= p < n:
         raise ValueError(f"wedge degree p={p} outside [1, {n - 1}]")
-    return _assemble(
-        (partial_derivative(P, alpha).terms for alpha in monomial_basis(n, k)),
-        wedge_basis(n, p), _wedge_image, _row_space(n, d - k - 1, p + 1), _row_space(n, k, p),
+    term, alpha, m, factor = _derivative_pattern(P, k)
+    row, col, pair, factor = _exterior_pattern(_glex_rank(alpha, k), m, d - k, factor, n, p)
+    return _from_pattern(
+        list(P.terms.values()), row, col, term[pair], factor,
+        _row_space(n, d - k - 1, p + 1), _row_space(n, k, p),
     )

@@ -23,7 +23,6 @@ from math import factorial
 
 from . import __version__
 from .exactla import (
-    EXACT_COLUMN_LIMIT,
     RankResult,
     SparseMatrix,
     binomial,

@@ -1,11 +1,20 @@
 """Homogeneous polynomials with exact coefficients: generators for the
 structured families under study, partial derivatives, the classical
-flattening / shifted-partial matrix builders, and the assembly loop that
+flattening / shifted-partial matrix builders, and the compiled pattern that
 every matrix builder linear in P goes through.
 
 Monomials are exponent tuples of fixed length ``n_vars``.  All monomial
 bases are enumerated in graded-lex order with x1 heaviest, so matrix
 layouts are reproducible bit for bit.
+
+Every nonzero entry of a builder's matrix is a single term c_beta * z: one
+coefficient of P times an integer z fixed by the kind and the shape (a
+product of falling factorials, for Koszul flattenings also m_i and a wedge
+sign), and no two terms meet in one entry.  A builder therefore compiles
+numpy integer arrays (row, col, term, factor) from P's support, ranks rows
+and columns arithmetically in graded-lex order, and gathers the values as
+c_term * factor over P's common denominator: in int64 where the bit lengths
+prove it exact, in Python ints beyond.
 """
 
 from __future__ import annotations
@@ -13,8 +22,10 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from math import factorial, lcm
-from typing import Callable, Iterable, Sequence
+from math import comb, factorial, lcm
+from typing import Sequence
+
+import numpy as np
 
 from .exactla import SparseMatrix
 
@@ -351,39 +362,75 @@ def partial_derivative(P: Poly, alpha: ExponentVector) -> Poly:
     return Poly(P.n_vars, P.degree - order, terms)
 
 
-def _assemble(
-    sources: Iterable[dict],
-    extras: Sequence,
-    image: Callable[[ExponentVector, object], dict],
-    rows: Sequence,
-    cols: Sequence,
-) -> SparseMatrix:
-    """Matrix of a map that is linear in P, one column per (source, extra).
+def _glex_rank(exps: np.ndarray, degree: int) -> np.ndarray:
+    """Index of each row of ``exps`` in ``monomial_basis(n, degree)``.
 
-    Column (s, e) holds the sum of c * image(m, e) over the terms c*x^m of
-    the s-th source (a monomial -> coefficient map); ``image`` returns a
-    map from row label to integer.  Sources are consumed one at a time.
-    Each source's coefficients are carried as integers over their lcm
-    denominator, which is divided out once per entry.
+    The index counts the degree-``degree`` vectors that are lexicographically
+    larger.  Those that first differ at position j number C(t + n-j-2, n-j-1),
+    t the sum of the row beyond j (hockey-stick identity), so the index is a
+    sum of n-1 lookups in a binomial table; no basis is enumerated.
     """
-    row_index = {label: i for i, label in enumerate(rows)}
-    entries = []
-    j = 0
-    for terms in sources:
-        if not terms:
-            j += len(extras)
-            continue
-        den = lcm(*(c.denominator for c in terms.values()))
-        scaled = [(m, c.numerator * (den // c.denominator)) for m, c in terms.items()]
-        for e in extras:
-            acc: dict = {}
-            for m, c in scaled:
-                for key, z in image(m, e).items():
-                    acc[key] = acc.get(key, 0) + c * z
-            for key, v in acc.items():
-                if v:
-                    entries.append((row_index[key], j, Fraction(v, den) if den > 1 else v))
-            j += 1
+    n = exps.shape[1]
+    table = np.array(
+        [[comb(t + n - j - 2, n - j - 1) for t in range(degree + 1)] for j in range(n - 1)],
+        dtype=np.int64,
+    ).reshape(n - 1, degree + 1)
+    tails = np.cumsum(exps[:, :0:-1], axis=1)[:, ::-1]
+    return table[np.arange(n - 1), tails].sum(axis=1)
+
+
+def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Entrywise product of two integer arrays: int64 when the bit lengths
+    prove it fits, exact Python ints otherwise."""
+    if not a.size or sum(int(np.abs(x).max()).bit_length() for x in (a, b)) < 63:
+        return a.astype(np.int64) * b.astype(np.int64)
+    return a.astype(object) * b.astype(object)
+
+
+def _derivative_pattern(P: Poly, k: int):
+    """Every term of every k-th partial derivative of P, as arrays
+    (term, alpha, m, factor): the alpha-th derivative of the term-th term
+    c*x^beta of P is c*factor*x^m, with m = beta - alpha.
+
+    The alphas below each beta are chosen one variable at a time, keeping
+    only choices that the remaining variables can complete, so no array
+    outgrows the result.
+    """
+    n = P.n_vars
+    beta = np.array(list(P.terms), dtype=np.int64).reshape(len(P.terms), n)
+    tails = np.cumsum(beta[:, ::-1], axis=1)[:, ::-1] - beta
+    term = np.arange(len(beta))
+    rest = np.full(len(beta), k)
+    alpha = np.zeros((len(beta), 0), dtype=np.int64)
+    for j in range(n):
+        low = np.maximum(rest - tails[term, j], 0)
+        counts = np.maximum(np.minimum(beta[term, j], rest) - low + 1, 0)
+        pick = np.repeat(np.arange(term.size), counts)
+        # a runs over low, low + 1, ..., low + count - 1 for each partial alpha.
+        a = low[pick] + np.arange(pick.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        term, rest = term[pick], rest[pick] - a
+        alpha = np.column_stack([alpha[pick], a])
+    # Each factor is a product of falling factorials, at most d!/(d-k)!.
+    d = P.degree
+    falling = np.array([[_falling(b, a) for a in range(k + 1)] for b in range(d + 1)],
+                       dtype=np.int64 if _falling(d, k).bit_length() < 63 else object)
+    factor = np.ones(term.size, dtype=falling.dtype)
+    for j in range(n):
+        factor = factor * falling[beta[term, j], alpha[:, j]]
+    return term, alpha, beta[term] - alpha, factor
+
+
+def _from_pattern(coeffs: Sequence, row, col, term, factor, rows, cols) -> SparseMatrix:
+    """The matrix with entry coeffs[term] * factor at (row, col), one entry
+    per pattern position.  The coefficients are carried as integers over
+    their common denominator, which is divided out once per entry."""
+    order = np.lexsort((col, row))
+    den = lcm(*(Fraction(c).denominator for c in coeffs))
+    num = np.array([int(c * den) for c in coeffs], dtype=object)
+    values = _times(num[term[order]], factor[order]).tolist()
+    if den > 1:
+        values = map(Fraction, values, itertools.repeat(den))
+    entries = zip(row[order].tolist(), col[order].tolist(), values)
     return SparseMatrix(len(rows), len(cols), entries, row_labels=rows, col_labels=cols)
 
 
@@ -397,10 +444,10 @@ def catalecticant(P: Poly, k: int) -> SparseMatrix:
     d = P.degree
     if not 1 <= k < d:
         raise ValueError(f"derivative order k={k} outside [1, {d - 1}]")
-    alphas = monomial_basis(P.n_vars, k)
-    return _assemble(
-        (partial_derivative(P, alpha).terms for alpha in alphas), [None],
-        lambda m, _: {m: 1}, monomial_basis(P.n_vars, d - k), alphas,
+    term, alpha, m, factor = _derivative_pattern(P, k)
+    return _from_pattern(
+        list(P.terms.values()), _glex_rank(m, d - k), _glex_rank(alpha, k), term, factor,
+        monomial_basis(P.n_vars, d - k), monomial_basis(P.n_vars, k),
     )
 
 
@@ -417,9 +464,13 @@ def shifted_partials(P: Poly, k: int, ell: int) -> SparseMatrix:
         raise ValueError("shift degree must be at least 1")
     alphas = monomial_basis(P.n_vars, k)
     shifts = monomial_basis(P.n_vars, ell)
-    return _assemble(
-        (partial_derivative(P, alpha).terms for alpha in alphas), shifts,
-        lambda m, shift: {tuple(a + b for a, b in zip(m, shift)): 1},
+    term, alpha, m, factor = _derivative_pattern(P, k)
+    pick = np.repeat(np.arange(term.size), len(shifts))
+    shift = np.tile(np.arange(len(shifts)), term.size)
+    moved = m[pick] + np.array(shifts, dtype=np.int64)[shift]
+    return _from_pattern(
+        list(P.terms.values()), _glex_rank(moved, d - k + ell),
+        _glex_rank(alpha, k)[pick] * len(shifts) + shift, term[pick], factor[pick],
         monomial_basis(P.n_vars, d - k + ell),
         [(alpha, m) for alpha in alphas for m in shifts],
     )

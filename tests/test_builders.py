@@ -1,17 +1,20 @@
-"""The four matrix builders as one linear map of P: pinned layouts and the
-Koszul factorization through the catalecticant."""
+"""The four matrix builders as one linear map of P: pinned layouts, an
+independent per-source oracle and the Koszul factorization through the
+catalecticant."""
 
 import hashlib
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flatrank.exactla import SparseMatrix, binomial
-from flatrank.koszul import exterior_derivative, koszul_flattening
+from flatrank.exactla import SparseMatrix, binomial, rank_exact, rank_modular
+from flatrank.koszul import exterior_derivative, koszul_flattening, wedge_basis, wedge_insert
 from flatrank.symtensor import (
     Poly,
+    _glex_rank,
     catalecticant,
     gen_permanent,
     gen_power_sum_power,
@@ -118,3 +121,135 @@ def test_koszul_is_exterior_derivative_after_catalecticant(P, data):
     assert catalecticant(P, k) == cat
     lifted = kron_identity(cat, binomial(n, p))
     assert koszul_flattening(P, k, p) == exterior_derivative(d - k, p, n).multiply(lifted)
+
+
+# The oracle: each column is the image of one source (a monomial ->
+# coefficient map: a partial derivative of P, or a single monomial) under one
+# extra (a shift monomial or a wedge), summed term by term into a dict.
+def oracle(sources, extras, image, rows, cols) -> SparseMatrix:
+    row = {label: i for i, label in enumerate(rows)}
+    acc: dict = {}
+    j = 0
+    for terms in sources:
+        for extra in extras:
+            for m, c in terms.items():
+                for label, z in image(m, extra).items():
+                    key = (row[label], j)
+                    acc[key] = acc.get(key, 0) + c * z
+            j += 1
+    entries = [(i, j, v) for (i, j), v in acc.items() if v]
+    return SparseMatrix(len(rows), len(cols), entries, row_labels=rows, col_labels=cols)
+
+
+def wedge_image(m, w) -> dict:
+    """d(x^m (x) w): peel one x_i off the monomial and wedge it onto w."""
+    out: dict = {}
+    for i, e in enumerate(m):
+        inserted = wedge_insert(i + 1, w) if e else None
+        if inserted is not None:
+            sign, bigger = inserted
+            key = (m[:i] + (e - 1,) + m[i + 1:], bigger)
+            out[key] = out.get(key, 0) + sign * e
+    return out
+
+
+def tensor_basis(n, degree, p):
+    return [(m, w) for m in monomial_basis(n, degree) for w in wedge_basis(n, p)]
+
+
+def derivatives(P, k):
+    return [partial_derivative(P, alpha).terms for alpha in monomial_basis(P.n_vars, k)]
+
+
+def oracle_catalecticant(P, k):
+    n, d = P.n_vars, P.degree
+    return oracle(derivatives(P, k), [None], lambda m, _: {m: 1},
+                  monomial_basis(n, d - k), monomial_basis(n, k))
+
+
+def oracle_shifted_partials(P, k, ell):
+    n, d = P.n_vars, P.degree
+    shifts = monomial_basis(n, ell)
+    return oracle(derivatives(P, k), shifts,
+                  lambda m, s: {tuple(a + b for a, b in zip(m, s)): 1},
+                  monomial_basis(n, d - k + ell),
+                  [(alpha, s) for alpha in monomial_basis(n, k) for s in shifts])
+
+
+def oracle_koszul_flattening(P, k, p):
+    n, d = P.n_vars, P.degree
+    return oracle(derivatives(P, k), wedge_basis(n, p), wedge_image,
+                  tensor_basis(n, d - k - 1, p + 1), tensor_basis(n, k, p))
+
+
+def oracle_exterior_derivative(a, p, n):
+    return oracle(({m: 1} for m in monomial_basis(n, a)), wedge_basis(n, p), wedge_image,
+                  tensor_basis(n, a - 1, p + 1), tensor_basis(n, a, p))
+
+
+def assert_same(built: SparseMatrix, expected: SparseMatrix):
+    assert built.to_coordinate_text() == expected.to_coordinate_text()
+    assert (built.row_labels, built.col_labels) == (expected.row_labels, expected.col_labels)
+
+
+@st.composite
+def sparse_forms(draw, denominators=(1, 1, 2, 3, 7)):
+    n = draw(st.integers(1, 5))
+    d = draw(st.integers(1, 6))
+    basis = monomial_basis(n, d)
+    support = draw(st.lists(st.sampled_from(basis), max_size=6, unique=True))
+    coeffs = st.builds(Fraction, st.integers(-40, 40).filter(bool), st.sampled_from(denominators))
+    return Poly(n, d, {m: draw(coeffs) for m in support})
+
+
+@settings(max_examples=40, deadline=None)
+@given(sparse_forms())
+def test_builders_match_per_source_oracle(P):
+    n, d = P.n_vars, P.degree
+    for k in range(1, d):
+        assert_same(catalecticant(P, k), oracle_catalecticant(P, k))
+        if not P.is_zero():
+            for ell in (1, 2):
+                assert_same(shifted_partials(P, k, ell), oracle_shifted_partials(P, k, ell))
+        for p in range(1, n):
+            assert_same(koszul_flattening(P, k, p), oracle_koszul_flattening(P, k, p))
+    for p in range(n):
+        assert_same(exterior_derivative(d, p, n), oracle_exterior_derivative(d, p, n))
+
+
+def test_zero_form_builds_empty_matrices():
+    P = Poly.zero(3, 4)
+    assert_same(catalecticant(P, 2), oracle_catalecticant(P, 2))
+    assert_same(koszul_flattening(P, 2, 1), oracle_koszul_flattening(P, 2, 1))
+    assert koszul_flattening(P, 2, 1).is_zero()
+
+
+def test_factors_beyond_int64_are_exact():
+    P = parse_poly("x1^40*x2^25 + 3*x1^30*x2^35", 2)
+    for built, expected in (
+        (catalecticant(P, 30), oracle_catalecticant(P, 30)),
+        (koszul_flattening(P, 20, 1), oracle_koszul_flattening(P, 20, 1)),
+    ):
+        assert max(abs(v) for _, _, v in built.entries()) >= 2**63
+        assert_same(built, expected)
+        assert rank_modular(built, 2, 5).rank == rank_exact(built).rank
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_glex_rank_is_the_basis_index(n):
+    for degree in range(6):
+        basis = monomial_basis(n, degree)
+        ranks = _glex_rank(np.array(basis, dtype=np.int64).reshape(len(basis), n), degree)
+        assert ranks.tolist() == list(range(len(basis)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(sparse_forms(denominators=(1,)), st.data())
+def test_coordinate_text_round_trip_on_builder_output(P, data):
+    d, n = P.degree, P.n_vars
+    if d < 2 or n < 2:
+        m = exterior_derivative(d, 0, n)
+    else:
+        m = koszul_flattening(P, data.draw(st.integers(1, d - 1)), data.draw(st.integers(1, n - 1)))
+    assert all(type(v) is int for _, _, v in m.entries())
+    assert SparseMatrix.from_coordinate_text(m.to_coordinate_text()) == m

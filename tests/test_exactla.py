@@ -5,6 +5,7 @@ import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -328,6 +329,59 @@ def test_sparse_matrix_operations():
     assert (stacked.n_rows, stacked.n_cols) == (2, 4)
     picked = stacked.select_columns([3, 0])
     assert to_dense(picked) == [[1, 1], [0, 3]]
+
+
+def residue(v, q):
+    """Per-entry reference: v mod q, ValueError when its denominator vanishes."""
+    v = Fraction(v)
+    return v.numerator % q * pow(v.denominator, -1, q) % q
+
+
+@st.composite
+def mixed_entry_matrices(draw, q):
+    """Int and Fraction entries, negative and with numerators beyond q."""
+    n_rows, n_cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    cells = draw(st.lists(st.tuples(st.integers(0, n_rows - 1), st.integers(0, n_cols - 1)),
+                          unique=True, max_size=n_rows * n_cols))
+    numerator = st.integers(-4 * q, 4 * q) | st.integers(-(2**80), 2**80)
+    value = numerator | st.builds(Fraction, numerator, st.integers(1, 50))
+    return SparseMatrix(n_rows, n_cols, [(i, j, draw(value)) for i, j in cells])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([5, 7, 101, 2147483659, 3037000493]), st.data())
+def test_dense_mod_matches_per_entry_residue(q, data):
+    m = data.draw(mixed_entry_matrices(q))
+    if any(Fraction(v).denominator % q == 0 for _, _, v in m.entries()):
+        with pytest.raises(ValueError):
+            _dense_mod(m, q)
+        return
+    reduced = _dense_mod(m, q)
+    assert reduced.dtype == np.int64
+    assert reduced.tolist() == [[residue(m.entry(i, j), q) for j in range(m.n_cols)]
+                                for i in range(m.n_rows)]
+
+
+def test_dense_mod_rejects_a_vanishing_denominator():
+    m = SparseMatrix(2, 2, [(0, 0, 3), (1, 1, Fraction(-2, 7 * 11))])
+    assert _dense_mod(m, 13).tolist() == [[3, 0], [0, residue(Fraction(-2, 77), 13)]]
+    with pytest.raises(ValueError):
+        _dense_mod(m, 7)
+
+
+def test_sparse_matrix_stores_ints_as_they_come():
+    entries = [(0, 0, 3), (0, 2, -(2**70)), (1, 1, Fraction(5, 3)), (1, 2, True)]
+    m = SparseMatrix(2, 3, entries)
+    assert [type(v) for _, _, v in m.entries()] == [int, int, Fraction, Fraction]
+    as_fractions = SparseMatrix(2, 3, [(i, j, Fraction(v)) for i, j, v in entries])
+    assert m == as_fractions
+    assert m.to_coordinate_text() == as_fractions.to_coordinate_text()
+    with pytest.raises(TypeError):
+        SparseMatrix(1, 1, [(0, 0, 2.0)])
+    with pytest.raises(ValueError):
+        SparseMatrix(1, 2, [(0, 1, 4), (0, 1, 4)])
+    with pytest.raises(ValueError):
+        SparseMatrix(1, 2, [(0, 2, 4)])
 
 
 def test_coordinate_text_round_trip():

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flatrank.exactla import SparseMatrix, binomial, rank_exact
 from flatrank.symtensor import (
@@ -253,3 +255,19 @@ def test_poly_text_round_trip():
     p = parse_poly("2*x1^2*x2 - 1/3*x2^3 + x1*x2*x3", 3)
     assert parse_poly(p.to_text(), 3) == p
     assert Poly.zero(2, 3).to_text() == "0"
+
+
+@st.composite
+def nonzero_forms(draw):
+    n = draw(st.integers(1, 5))
+    d = draw(st.integers(1, 6))
+    support = draw(st.lists(st.sampled_from(monomial_basis(n, d)), min_size=1, max_size=8,
+                            unique=True))
+    coeffs = st.builds(Fraction, st.integers(-10**6, 10**6).filter(bool), st.integers(1, 90))
+    return Poly(n, d, {m: draw(coeffs) for m in support})
+
+
+@settings(max_examples=100, deadline=None)
+@given(nonzero_forms())
+def test_parse_inverts_to_text(P):
+    assert parse_poly(P.to_text(), P.n_vars) == P
