@@ -89,6 +89,13 @@ def random_prime(rng: random.Random) -> int:
             return candidate
 
 
+def _int64_shape(n_rows: int, n_cols: int) -> tuple[int, int]:
+    """(n_rows, n_cols), or ValueError when an index would not fit in int64."""
+    if max(n_rows, n_cols) >= 2**63:
+        raise ValueError(f"a {n_rows}x{n_cols} matrix is too large to index in 64 bits")
+    return n_rows, n_cols
+
+
 class SparseMatrix:
     """Immutable sparse matrix with exact entries and optional basis labels.
 
@@ -96,10 +103,11 @@ class SparseMatrix:
     come, any other rational number as a Fraction, and floats are refused.
     Zero entries are never stored.
     Labels, when present, are opaque hashable objects, one per row/column,
-    pairwise distinct.
+    pairwise distinct.  A builder defers them: its labels are listed and
+    checked the first time ``row_labels`` or ``col_labels`` is read.
     """
 
-    __slots__ = ("n_rows", "n_cols", "_data", "row_labels", "col_labels")
+    __slots__ = ("n_rows", "n_cols", "_data", "_labels")
 
     def __init__(
         self,
@@ -127,8 +135,11 @@ class SparseMatrix:
             if value:
                 data[i, j] = value
         self._data = data
-        self.row_labels = self._check_labels(row_labels, n_rows, "row")
-        self.col_labels = self._check_labels(col_labels, n_cols, "column")
+        self._labels = self._checked(row_labels, col_labels)
+
+    def _checked(self, row_labels, col_labels) -> tuple:
+        return (self._check_labels(row_labels, self.n_rows, "row"),
+                self._check_labels(col_labels, self.n_cols, "column"))
 
     @staticmethod
     def _check_labels(labels, count, kind):
@@ -142,29 +153,32 @@ class SparseMatrix:
         return labels
 
     @classmethod
+    def _deferred(cls, n_rows: int, n_cols: int, entries, labels: Callable[[], tuple]):
+        """A matrix whose (row, column) labels are ``labels()``, called on first read."""
+        m = cls(n_rows, n_cols, entries)
+        m._labels = labels
+        return m
+
+    @classmethod
     def _from_data(cls, n_rows: int, n_cols: int, data: dict) -> "SparseMatrix":
         """Wrap an already validated rational entry dict, without copying."""
         m = cls.__new__(cls)
         m.n_rows, m.n_cols, m._data = n_rows, n_cols, data
-        m.row_labels = m.col_labels = None
+        m._labels = (None, None)
         return m
 
-    @classmethod
-    def identity(cls, n: int) -> "SparseMatrix":
-        return cls(n, n, [(i, i, 1) for i in range(n)])
+    def _label_pair(self) -> tuple:
+        if callable(self._labels):
+            self._labels = self._checked(*self._labels())
+        return self._labels
 
-    @classmethod
-    def from_dense(cls, rows: Sequence[Sequence]) -> "SparseMatrix":
-        n_rows = len(rows)
-        n_cols = len(rows[0]) if n_rows else 0
-        entries = []
-        for i, row in enumerate(rows):
-            if len(row) != n_cols:
-                raise ValueError("ragged dense input")
-            for j, v in enumerate(row):
-                if v:
-                    entries.append((i, j, v))
-        return cls(n_rows, n_cols, entries)
+    @property
+    def row_labels(self) -> tuple | None:
+        return self._label_pair()[0]
+
+    @property
+    def col_labels(self) -> tuple | None:
+        return self._label_pair()[1]
 
     @property
     def nnz(self) -> int:
@@ -192,40 +206,6 @@ class SparseMatrix:
     def __repr__(self) -> str:
         return f"SparseMatrix({self.n_rows}x{self.n_cols} over Q, nnz={self.nnz})"
 
-    def transpose(self) -> "SparseMatrix":
-        return SparseMatrix(
-            self.n_cols,
-            self.n_rows,
-            [(j, i, v) for (i, j), v in self._data.items()],
-            row_labels=self.col_labels,
-            col_labels=self.row_labels,
-        )
-
-    def select_columns(self, indices: Sequence[int]) -> "SparseMatrix":
-        pos = {old: new for new, old in enumerate(indices)}
-        if len(pos) != len(indices):
-            raise ValueError("repeated column index")
-        entries = [
-            (i, pos[j], v) for (i, j), v in self._data.items() if j in pos
-        ]
-        labels = None
-        if self.col_labels is not None:
-            labels = [self.col_labels[j] for j in indices]
-        return SparseMatrix(
-            self.n_rows, len(indices), entries,
-            row_labels=self.row_labels, col_labels=labels,
-        )
-
-    def hstack(self, other: "SparseMatrix") -> "SparseMatrix":
-        if self.n_rows != other.n_rows:
-            raise ValueError("incompatible matrices for hstack")
-        entries = list(self.entries())
-        entries.extend((i, j + self.n_cols, v) for i, j, v in other.entries())
-        return SparseMatrix(
-            self.n_rows, self.n_cols + other.n_cols, entries,
-            row_labels=self.row_labels,
-        )
-
     def multiply(self, other: "SparseMatrix") -> "SparseMatrix":
         if self.n_cols != other.n_rows:
             raise ValueError("incompatible matrices for multiply")
@@ -238,10 +218,8 @@ class SparseMatrix:
                 key = (i, j)
                 acc[key] = acc.get(key, 0) + v * w
         entries = [(i, j, v) for (i, j), v in acc.items() if v]
-        return SparseMatrix(
-            self.n_rows, other.n_cols, entries,
-            row_labels=self.row_labels, col_labels=other.col_labels,
-        )
+        return SparseMatrix._deferred(self.n_rows, other.n_cols, entries,
+                                      lambda: (self.row_labels, other.col_labels))
 
     def to_coordinate_text(self) -> str:
         """Coordinate text dump (1-based indices, one 'row col value' line per entry)."""
@@ -266,7 +244,10 @@ class SparseMatrix:
             toks = ln.split()
             if len(toks) != 3:
                 raise ValueError(f"malformed entry line: {ln!r}")
-            entries.append((int(toks[0]) - 1, int(toks[1]) - 1, Fraction(toks[2])))
+            try:
+                entries.append((int(toks[0]) - 1, int(toks[1]) - 1, Fraction(toks[2])))
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ValueError(f"malformed entry line: {ln!r}") from exc
         return cls(n_rows, n_cols, entries)
 
 
@@ -545,6 +526,7 @@ def rank_modular(m: SparseMatrix, prime_count: int = 2, seed: int = 0) -> RankRe
     """
     if prime_count < 1:
         raise ValueError("prime_count must be at least 1")
+    _int64_shape(m.n_rows, m.n_cols)
     components = _components(m)
     denominators = {v.denominator for v in m._data.values()} - {1}
     rng = random.Random(seed)

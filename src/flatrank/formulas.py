@@ -96,14 +96,7 @@ def veronese_point_rank(d: int, p: int) -> int:
     return binomial(d - 1, p)
 
 
-def border_rank_lb(
-    P: Poly,
-    k: int,
-    p: int,
-    ranker: str = "auto",
-    prime_count: int = 2,
-    seed: int = 0,
-) -> BoundReport:
+def border_rank_lb(P: Poly, k: int, p: int) -> BoundReport:
     """Symmetric border rank lower bound: the Koszul flattening rank divided
     by the per-point rank C(d-1, p), rounded up.
 
@@ -111,15 +104,7 @@ def border_rank_lb(
     certificate is valid whenever the ambient variable count is at most
     the degree (it is exact for the product family, where they agree).
     """
-    rankers = {
-        "auto": lambda m: exactla.rank_auto(m, seed, prime_count),
-        "exact": exactla.rank_exact,
-        "modular": lambda m: exactla.rank_modular(m, prime_count, seed),
-    }
-    if ranker not in rankers:
-        raise ValueError(f"unknown ranker {ranker!r}")
-    matrix = koszul.koszul_flattening(P, k, p)
-    result = rankers[ranker](matrix)
+    result = exactla.rank_auto(koszul.koszul_flattening(P, k, p))
     per_point = veronese_point_rank(P.degree, p)
     lower = -(-result.rank // per_point)
     return BoundReport(

@@ -22,9 +22,10 @@ from math import comb
 
 import numpy as np
 
-from .exactla import SparseMatrix
+from .exactla import SparseMatrix, _int64_shape
 from .symtensor import (
     Poly,
+    _basis_size,
     _derivative_pattern,
     _from_pattern,
     _glex_rank,
@@ -86,11 +87,6 @@ def _exterior_pattern(group, m, degree: int, factor, n_vars: int, p: int):
     return row, col, source[pick], _times(scaled[pick], sign[var, slot])
 
 
-def _row_space(n_vars: int, degree: int, p: int) -> list:
-    wedges = wedge_basis(n_vars, p)
-    return [(m, w) for m in monomial_basis(n_vars, degree) for w in wedges]
-
-
 def exterior_derivative(a: int, p: int, n_vars: int) -> SparseMatrix:
     """Matrix of the exterior derivative on degree-a monomials tensored with
     p-wedges: each linear factor of the monomial is peeled off and wedged in.
@@ -99,13 +95,16 @@ def exterior_derivative(a: int, p: int, n_vars: int) -> SparseMatrix:
         raise ValueError("source degree must be at least 1")
     if not 0 <= p < n_vars:
         raise ValueError(f"wedge degree p={p} outside [0, {n_vars - 1}]")
+    shape = _int64_shape(_basis_size(n_vars, a - 1) * comb(n_vars, p + 1),
+                         _basis_size(n_vars, a) * comb(n_vars, p))
     sources = np.array(monomial_basis(n_vars, a), dtype=np.int64)
     ones = np.ones(len(sources), dtype=np.int64)
     row, col, source, factor = _exterior_pattern(
         np.arange(len(sources)), sources, a, ones, n_vars, p)
     return _from_pattern(
-        [1], row, col, np.zeros_like(source), factor,
-        _row_space(n_vars, a - 1, p + 1), _row_space(n_vars, a, p),
+        [1], row, col, np.zeros_like(source), factor, shape,
+        lambda: (itertools.product(monomial_basis(n_vars, a - 1), wedge_basis(n_vars, p + 1)),
+                 itertools.product(monomial_basis(n_vars, a), wedge_basis(n_vars, p))),
     )
 
 
@@ -121,9 +120,12 @@ def koszul_flattening(P: Poly, k: int, p: int) -> SparseMatrix:
         raise ValueError(f"derivative order k={k} outside [1, {d - 1}]")
     if not 1 <= p < n:
         raise ValueError(f"wedge degree p={p} outside [1, {n - 1}]")
+    shape = _int64_shape(_basis_size(n, d - k - 1) * comb(n, p + 1),
+                         _basis_size(n, k) * comb(n, p))
     term, alpha, m, factor = _derivative_pattern(P, k)
     row, col, pair, factor = _exterior_pattern(_glex_rank(alpha, k), m, d - k, factor, n, p)
     return _from_pattern(
-        list(P.terms.values()), row, col, term[pair], factor,
-        _row_space(n, d - k - 1, p + 1), _row_space(n, k, p),
+        list(P.terms.values()), row, col, term[pair], factor, shape,
+        lambda: (itertools.product(monomial_basis(n, d - k - 1), wedge_basis(n, p + 1)),
+                 itertools.product(monomial_basis(n, k), wedge_basis(n, p))),
     )

@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .exactla import SparseMatrix
+from .exactla import SparseMatrix, _int64_shape
 
 ExponentVector = tuple[int, ...]
 
@@ -45,21 +45,21 @@ class InhomogeneityError(ValueError):
 
 
 def monomial_basis(n_vars: int, degree: int) -> list[ExponentVector]:
-    """All degree-``degree`` exponent vectors in graded-lex order."""
+    """All degree-``degree`` exponent vectors in graded-lex order.
+
+    Sorted multisets of variable indices come out of
+    ``combinations_with_replacement`` in exactly that order."""
     if n_vars < 1:
         raise ValueError("need at least one variable")
     if degree < 0:
         return []
-
-    def rec(k: int, rem: int):
-        if k == 1:
-            yield (rem,)
-            return
-        for e in range(rem, -1, -1):
-            for tail in rec(k - 1, rem - e):
-                yield (e,) + tail
-
-    return list(rec(n_vars, degree))
+    basis = []
+    for multiset in itertools.combinations_with_replacement(range(n_vars), degree):
+        exps = [0] * n_vars
+        for i in multiset:
+            exps[i] += 1
+        basis.append(tuple(exps))
+    return basis
 
 
 def multinomial(parts: tuple[int, ...]) -> int:
@@ -165,8 +165,9 @@ def parse_poly(text: str, n_vars: int) -> Poly:
 
     Grammar: terms joined by '+'/'-'; a term is an optional integer or
     fraction coefficient followed by '*' and one or more variable factors
-    ``xI`` or ``xI^E``.  Whitespace is insignificant; variables are
-    1-indexed.  Inhomogeneous input is rejected.
+    ``xI`` or ``xI^E``, or a bare coefficient (a degree-0 term).  Whitespace
+    is insignificant; variables are 1-indexed.  Inhomogeneous input is
+    rejected.
     """
     if n_vars < 1:
         raise ValueError("need at least one variable")
@@ -209,10 +210,11 @@ def parse_poly(text: str, n_vars: int) -> Poly:
             else:
                 coeff = Fraction(sign * num)
             skip()
-            if pos < length and text[pos] == "*":
-                pos += 1
-            else:
+            if pos == length or text[pos] in "+-":
+                return coeff, (0,) * n_vars
+            if text[pos] != "*":
                 raise ParseError("expected '*' between coefficient and variables", pos)
+            pos += 1
         exps = [0] * n_vars
         while True:
             skip()
@@ -420,10 +422,16 @@ def _derivative_pattern(P: Poly, k: int):
     return term, alpha, beta[term] - alpha, factor
 
 
-def _from_pattern(coeffs: Sequence, row, col, term, factor, rows, cols) -> SparseMatrix:
-    """The matrix with entry coeffs[term] * factor at (row, col), one entry
-    per pattern position.  The coefficients are carried as integers over
-    their common denominator, which is divided out once per entry."""
+def _basis_size(n_vars: int, degree: int) -> int:
+    """len(monomial_basis(n_vars, degree)), without listing it."""
+    return comb(degree + n_vars - 1, n_vars - 1)
+
+
+def _from_pattern(coeffs: Sequence, row, col, term, factor, shape, labels) -> SparseMatrix:
+    """The ``shape`` matrix with entry coeffs[term] * factor at (row, col),
+    one entry per pattern position, labeled by ``labels()`` on first read.
+    The coefficients are carried as integers over their common denominator,
+    which is divided out once per entry."""
     order = np.lexsort((col, row))
     den = lcm(*(Fraction(c).denominator for c in coeffs))
     num = np.array([int(c * den) for c in coeffs], dtype=object)
@@ -431,7 +439,7 @@ def _from_pattern(coeffs: Sequence, row, col, term, factor, rows, cols) -> Spars
     if den > 1:
         values = map(Fraction, values, itertools.repeat(den))
     entries = zip(row[order].tolist(), col[order].tolist(), values)
-    return SparseMatrix(len(rows), len(cols), entries, row_labels=rows, col_labels=cols)
+    return SparseMatrix._deferred(*shape, entries, labels)
 
 
 def catalecticant(P: Poly, k: int) -> SparseMatrix:
@@ -441,13 +449,14 @@ def catalecticant(P: Poly, k: int) -> SparseMatrix:
     Columns carry the raw derivatives (no multinomial renormalization),
     which rescales columns only and leaves the rank unchanged.
     """
-    d = P.degree
+    d, n = P.degree, P.n_vars
     if not 1 <= k < d:
         raise ValueError(f"derivative order k={k} outside [1, {d - 1}]")
+    shape = _int64_shape(_basis_size(n, d - k), _basis_size(n, k))
     term, alpha, m, factor = _derivative_pattern(P, k)
     return _from_pattern(
         list(P.terms.values()), _glex_rank(m, d - k), _glex_rank(alpha, k), term, factor,
-        monomial_basis(P.n_vars, d - k), monomial_basis(P.n_vars, k),
+        shape, lambda: (monomial_basis(n, d - k), monomial_basis(n, k)),
     )
 
 
@@ -455,24 +464,24 @@ def shifted_partials(P: Poly, k: int, ell: int) -> SparseMatrix:
     """Matrix of the shifted-partials map: column (alpha, m) holds the
     coefficients of m * (alpha-th derivative) in the degree-(d-k+ell) basis.
     """
-    d = P.degree
+    d, n = P.degree, P.n_vars
     if P.is_zero() or d < 2:
         raise ValueError("need a nonzero form of degree at least 2")
     if not 1 <= k < d:
         raise ValueError(f"derivative order k={k} outside [1, {d - 1}]")
     if ell < 1:
         raise ValueError("shift degree must be at least 1")
-    alphas = monomial_basis(P.n_vars, k)
-    shifts = monomial_basis(P.n_vars, ell)
+    shape = _int64_shape(_basis_size(n, d - k + ell), _basis_size(n, k) * _basis_size(n, ell))
+    shifts = monomial_basis(n, ell)
     term, alpha, m, factor = _derivative_pattern(P, k)
     pick = np.repeat(np.arange(term.size), len(shifts))
     shift = np.tile(np.arange(len(shifts)), term.size)
     moved = m[pick] + np.array(shifts, dtype=np.int64)[shift]
     return _from_pattern(
         list(P.terms.values()), _glex_rank(moved, d - k + ell),
-        _glex_rank(alpha, k)[pick] * len(shifts) + shift, term[pick], factor[pick],
-        monomial_basis(P.n_vars, d - k + ell),
-        [(alpha, m) for alpha in alphas for m in shifts],
+        _glex_rank(alpha, k)[pick] * len(shifts) + shift, term[pick], factor[pick], shape,
+        lambda: (monomial_basis(n, d - k + ell),
+                 itertools.product(monomial_basis(n, k), shifts)),
     )
 
 

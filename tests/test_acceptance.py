@@ -45,6 +45,7 @@ from flatrank.symtensor import (
     gen_sum_of_products,
     set_variables_to_zero,
 )
+from test_exactla import from_dense
 from test_koszul import expected_component_ranks
 
 
@@ -285,7 +286,7 @@ def test_c12_algebraic_invariants():
                 poly = gen_random(n, d, 7000 + 100 * n + 10 * d + k, 50)
                 while True:
                     g = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
-                    if rank_exact(SparseMatrix.from_dense(g)).rank == n:
+                    if rank_exact(from_dense(g)).rank == n:
                         break
                 before = rank_exact(catalecticant(poly, k)).rank
                 after = rank_exact(catalecticant(apply_linear_map(poly, g), k)).rank

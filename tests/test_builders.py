@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flatrank.exactla import SparseMatrix, binomial, rank_exact, rank_modular
+from flatrank.exactla import SparseMatrix, binomial, rank_auto, rank_exact, rank_modular
 from flatrank.koszul import exterior_derivative, koszul_flattening, wedge_basis, wedge_insert
 from flatrank.symtensor import (
     Poly,
@@ -75,6 +75,15 @@ def _form_matrices(P: Poly):
 @pytest.mark.parametrize("name", sorted(FORMS))
 def test_builder_layouts_are_pinned(name):
     assert _digest(_form_matrices(FORMS[name]())) == FORM_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", ["fractional_cubic", "permanent3", "product5"])
+def test_labels_read_after_a_rank_are_pinned(name):
+    # A builder lists its labels on first read; ranking first must not change them.
+    matrices = list(_form_matrices(FORMS[name]()))
+    for _, m in matrices:
+        rank_auto(m)
+    assert _digest(matrices) == FORM_DIGESTS[name]
 
 
 def test_exterior_derivative_layouts_are_pinned():

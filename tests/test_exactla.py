@@ -60,6 +60,11 @@ def to_dense(m):
     return [[m.entry(i, j) for j in range(m.n_cols)] for i in range(m.n_rows)]
 
 
+def from_dense(rows):
+    return SparseMatrix(len(rows), len(rows[0]) if rows else 0,
+                        [(i, j, v) for i, row in enumerate(rows) for j, v in enumerate(row)])
+
+
 def test_binomial_values():
     assert binomial(5, 2) == 10
     assert binomial(4, 0) == 1
@@ -70,7 +75,7 @@ def test_binomial_values():
 
 
 def test_rank_exact_identity_and_zero():
-    assert rank_exact(SparseMatrix.identity(2)).rank == 2
+    assert rank_exact(SparseMatrix(2, 2, [(0, 0, 1), (1, 1, 1)])).rank == 2
     assert rank_exact(SparseMatrix(3, 5)).rank == 0
 
 
@@ -101,7 +106,7 @@ def test_rank_exact_matches_dense_oracle_on_random_matrices():
             [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n_cols)]
             for _ in range(n_rows)
         ]
-        m = SparseMatrix.from_dense(rows)
+        m = from_dense(rows)
         assert rank_exact(m).rank == dense_rank_oracle(rows)
 
 
@@ -125,7 +130,7 @@ def test_rank_exact_invariance_under_permutation_and_scaling():
 
 def test_rank_modular_identity_and_zero():
     for seed in (0, 1, 99):
-        result = rank_modular(SparseMatrix.identity(2), 1, seed)
+        result = rank_modular(SparseMatrix(2, 2, [(0, 0, 1), (1, 1, 1)]), 1, seed)
         assert result.rank == 2
         assert result.method == "modular"
         assert result.is_certified_lower_bound
@@ -160,7 +165,7 @@ def test_rank_modular_never_exceeds_exact_and_hits_it():
 
 
 def test_rank_modular_handles_denominators():
-    m = SparseMatrix.from_dense([[Fraction(1, 2), 1], [0, Fraction(-3, 7)]])
+    m = from_dense([[Fraction(1, 2), 1], [0, Fraction(-3, 7)]])
     assert rank_modular(m, 1, 0).rank == 2
 
 
@@ -266,7 +271,7 @@ def test_rank_modular_redraws_primes_that_hit_a_denominator():
     drawn = [random_prime(rng) for _ in range(4)]
     assert drawn == [2731845331, 2771168831, 2728349933, 2737645621]
     # Denominators divisible by the first and third draws force two redraws.
-    m = SparseMatrix.from_dense([
+    m = from_dense([
         [Fraction(1, drawn[0] * drawn[2]), 1, 0],
         [0, Fraction(2, 3), 1],
         [1, 0, Fraction(-5, drawn[2])],
@@ -321,14 +326,27 @@ def test_sparse_matrix_validation():
 
 
 def test_sparse_matrix_operations():
-    a = SparseMatrix.from_dense([[1, 2], [3, 4]])
-    b = SparseMatrix.from_dense([[0, 1], [1, 0]])
-    assert to_dense(a.multiply(b)) == [[2, 1], [4, 3]]
-    assert to_dense(a.transpose()) == [[1, 3], [2, 4]]
-    stacked = a.hstack(b)
-    assert (stacked.n_rows, stacked.n_cols) == (2, 4)
-    picked = stacked.select_columns([3, 0])
-    assert to_dense(picked) == [[1, 1], [0, 3]]
+    a = from_dense([[1, 2], [3, 4]])
+    b = SparseMatrix(2, 2, [(0, 1, 1), (1, 0, 1)], col_labels=["u", "v"])
+    product = a.multiply(b)
+    assert to_dense(product) == [[2, 1], [4, 3]]
+    assert (product.row_labels, product.col_labels) == (None, ("u", "v"))
+
+
+def test_deferred_labels_are_listed_and_checked_on_first_read():
+    calls = []
+
+    def labels():
+        calls.append(None)
+        return ["a", "b"], iter(["c"])
+
+    m = SparseMatrix._deferred(2, 1, [(1, 0, 3)], labels)
+    assert rank_exact(m).rank == 1 and rank_modular(m).rank == 1 and not calls
+    assert (m.row_labels, m.col_labels) == (("a", "b"), ("c",))
+    assert len(calls) == 1
+    repeated = SparseMatrix._deferred(2, 1, [], lambda: (["a", "a"], ["c"]))
+    with pytest.raises(ValueError):
+        repeated.col_labels
 
 
 def residue(v, q):

@@ -1,6 +1,10 @@
 """Command-line surface: subcommands, formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -90,6 +94,45 @@ def test_rank_file_modular_ignores_declared_shape(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "rank", str(path), "--modular")
     assert code == 0
     assert "rank: 3" in out
+
+def test_rank_file_input_errors_exit_2(capsys, tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("%%flatrank coordinate rational\n2 2 1\n1 1 1/0\n")
+    code, _, err = run_cli(capsys, "rank", str(path))
+    assert code == 2 and "1/0" in err
+    # Indices past int64 rank exactly, and are refused by the modular engine.
+    path.write_text("%%flatrank coordinate rational\n100000000000000000000 3 1\n"
+                    "99999999999999999999 1 5\n")
+    code, _, err = run_cli(capsys, "rank", str(path), "--modular")
+    assert code == 2 and "too large" in err
+    code, out, _ = run_cli(capsys, "rank", str(path))
+    assert code == 0 and "rank: 1" in out
+
+
+def run_child(*argv):
+    """The CLI in its own process, killed after 60 s: a timeout is a hang."""
+    src = str(Path(labcli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run([sys.executable, "-m", "flatrank.labcli", *argv, "--format", "json"],
+                          env=env, capture_output=True, text=True, timeout=60)
+
+
+def test_flatten_never_lists_the_row_basis():
+    # C(69, 9) rows and C(68, 9) * C(10, 2) rows: only the entries are built.
+    child = run_child("flatten", "x1^60*x10", "--kind", "cat", "--k", "1")
+    assert child.returncode == 0
+    result = json.loads(child.stdout)["result"]
+    assert (result["n_rows"], result["rank"]) == ("56672074888", "2")
+    child = run_child("flatten", "x1^60*x10", "--kind", "koszul", "--k", "1", "--p", "1",
+                      "--modular")
+    assert child.returncode == 0
+    result = json.loads(child.stdout)["result"]
+    assert (result["n_rows"], result["rank"]) == ("2217602930400", "18")
+    # C(229, 29) rows do not fit the int64 index arithmetic.
+    child = run_child("flatten", "x1^200*x30", "--kind", "cat", "--k", "1")
+    assert child.returncode == 2 and "too large" in child.stderr
+
 
 def test_matrix_dump_and_rank_round_trip(capsys, tmp_path):
     path = tmp_path / "matrix.txt"

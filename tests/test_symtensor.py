@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flatrank.exactla import SparseMatrix, binomial, rank_exact
+from flatrank.exactla import binomial, rank_exact
 from flatrank.symtensor import (
     InhomogeneityError,
     ParseError,
@@ -26,6 +26,7 @@ from flatrank.symtensor import (
     set_variables_to_zero,
     shifted_partials,
 )
+from test_exactla import from_dense
 
 
 def test_monomial_basis_graded_lex_order():
@@ -55,6 +56,17 @@ def test_parse_coefficients_signs_and_fractions():
     assert p.terms == {(2, 0): Fraction(3), (1, 1): Fraction(-1, 2), (0, 2): Fraction(1)}
     assert parse_poly("-x1*x2", 2).terms == {(1, 1): Fraction(-1)}
     assert parse_poly("  x1 ^ 2+ x1 * x2 ", 2).degree == 2
+
+
+def test_parse_bare_coefficients_are_degree_zero_terms():
+    assert parse_poly("5", 2) == Poly(2, 0, {(0, 0): 5})
+    assert parse_poly("-3/2", 1) == Poly(1, 0, {(0,): Fraction(-3, 2)})
+    assert parse_poly("0", 3) == Poly.zero(3, 0)
+    assert parse_poly("2 - 1/2", 1).terms == {(0,): Fraction(3, 2)}
+    with pytest.raises(InhomogeneityError):
+        parse_poly("x1 + 1", 1)
+    with pytest.raises(ParseError):
+        parse_poly("2 x1", 1)
 
 
 def test_parse_error_positions():
@@ -221,7 +233,7 @@ def test_substitution_invariance():
         p = gen_random(n, d, rng.randrange(10**6), 30)
         while True:
             g = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
-            if rank_exact(SparseMatrix.from_dense(g)).rank == n:
+            if rank_exact(from_dense(g)).rank == n:
                 break
         assert (
             rank_exact(catalecticant(apply_linear_map(p, g), k)).rank
@@ -260,7 +272,7 @@ def test_poly_text_round_trip():
 @st.composite
 def nonzero_forms(draw):
     n = draw(st.integers(1, 5))
-    d = draw(st.integers(1, 6))
+    d = draw(st.integers(0, 6))
     support = draw(st.lists(st.sampled_from(monomial_basis(n, d)), min_size=1, max_size=8,
                             unique=True))
     coeffs = st.builds(Fraction, st.integers(-10**6, 10**6).filter(bool), st.integers(1, 90))
