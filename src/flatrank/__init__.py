@@ -11,10 +11,8 @@ from .exactla import (
     rank_modular,
 )
 from .formulas import (
-    ABClass,
     BoundReport,
     S_formula,
-    ab_class,
     border_rank_lb,
     chowsrank_bound,
     chowsrank_intermediate_sum,

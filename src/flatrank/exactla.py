@@ -101,7 +101,11 @@ class SparseMatrix:
 
     Entries are ints or Fractions: ints and Fractions are stored as they
     come, any other rational number as a Fraction, and floats are refused.
-    Zero entries are never stored.
+    Zero entries are never stored.  The constructor checks every entry it is
+    given: a position inside the shape, listed at most once whatever its
+    value, and an exact value.  Matrices built inside the package (builders,
+    products, components) come finished through ``_wrap`` and are not checked
+    again.
     Labels, when present, are opaque hashable objects, one per row/column,
     pairwise distinct.  A builder defers them: its labels are listed and
     checked the first time ``row_labels`` or ``col_labels`` is read.
@@ -132,9 +136,8 @@ class SparseMatrix:
                 value = Fraction(value)
             if (i, j) in data:
                 raise ValueError(f"duplicate entry at ({i}, {j})")
-            if value:
-                data[i, j] = value
-        self._data = data
+            data[i, j] = value
+        self._data = data if all(data.values()) else {k: v for k, v in data.items() if v}
         self._labels = self._checked(row_labels, col_labels)
 
     def _checked(self, row_labels, col_labels) -> tuple:
@@ -153,18 +156,14 @@ class SparseMatrix:
         return labels
 
     @classmethod
-    def _deferred(cls, n_rows: int, n_cols: int, entries, labels: Callable[[], tuple]):
-        """A matrix whose (row, column) labels are ``labels()``, called on first read."""
-        m = cls(n_rows, n_cols, entries)
-        m._labels = labels
-        return m
-
-    @classmethod
-    def _from_data(cls, n_rows: int, n_cols: int, data: dict) -> "SparseMatrix":
-        """Wrap an already validated rational entry dict, without copying."""
+    def _wrap(cls, n_rows: int, n_cols: int, data: dict,
+              labels: Callable[[], tuple] | None = None) -> "SparseMatrix":
+        """Wrap a finished {(i, j): value} dict without copying or checking it:
+        every position inside the shape, no zero value, ints or Fractions only.
+        The (row, column) labels are ``labels()``, called on first read."""
         m = cls.__new__(cls)
         m.n_rows, m.n_cols, m._data = n_rows, n_cols, data
-        m._labels = (None, None)
+        m._labels = (None, None) if labels is None else labels
         return m
 
     def _label_pair(self) -> tuple:
@@ -217,9 +216,9 @@ class SparseMatrix:
             for j, w in by_row.get(k, ()):
                 key = (i, j)
                 acc[key] = acc.get(key, 0) + v * w
-        entries = [(i, j, v) for (i, j), v in acc.items() if v]
-        return SparseMatrix._deferred(self.n_rows, other.n_cols, entries,
-                                      lambda: (self.row_labels, other.col_labels))
+        data = {key: v for key, v in acc.items() if v}
+        return SparseMatrix._wrap(self.n_rows, other.n_cols, data,
+                                  lambda: (self.row_labels, other.col_labels))
 
     def to_coordinate_text(self) -> str:
         """Coordinate text dump (1-based indices, one 'row col value' line per entry)."""
@@ -262,19 +261,18 @@ class RankResult:
     rank: int
     method: str
     primes_used: tuple[int, ...] = ()
-    is_certified_lower_bound: bool = False
 
     def __post_init__(self):
         if self.method not in ("exact_rational", "modular"):
             raise ValueError(f"unknown rank method {self.method!r}")
-        if self.method == "modular":
-            if not self.primes_used:
-                raise ValueError("modular result must record its primes")
-            if not self.is_certified_lower_bound:
-                raise ValueError("modular result is only a certified lower bound")
-        else:
-            if self.primes_used:
-                raise ValueError("exact result must not record primes")
+        if self.method == "modular" and not self.primes_used:
+            raise ValueError("modular result must record its primes")
+        if self.method != "modular" and self.primes_used:
+            raise ValueError("exact result must not record primes")
+
+    @property
+    def is_certified_lower_bound(self) -> bool:
+        return self.method == "modular"
 
 
 def _integer_rows(m: SparseMatrix) -> list[dict[int, int]]:
@@ -493,7 +491,7 @@ def _components(m: SparseMatrix) -> list[SparseMatrix]:
     start = 0
     for c, end in enumerate(ends):
         data = dict(zip(local[start:end], values[start:end]))
-        out.append(SparseMatrix._from_data(n_rows[c], n_cols[c], data))
+        out.append(SparseMatrix._wrap(n_rows[c], n_cols[c], data))
         start = end
     return out
 
@@ -538,7 +536,7 @@ def rank_modular(m: SparseMatrix, prime_count: int = 2, seed: int = 0) -> RankRe
             q = random_prime(rng)
         primes.append(q)
         best = max(best, _modular_rank_components(components, q))
-    return RankResult(best, "modular", tuple(primes), True)
+    return RankResult(best, "modular", tuple(primes))
 
 
 def rank_auto(m: SparseMatrix, seed: int = 0, prime_count: int = 2) -> RankResult:

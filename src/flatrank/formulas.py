@@ -13,7 +13,7 @@ from math import factorial, log2
 
 from . import exactla, koszul
 from .exactla import binomial
-from .symtensor import ExponentVector, Poly
+from .symtensor import Poly
 
 
 @dataclass(frozen=True)
@@ -34,19 +34,6 @@ class BoundReport:
     def __post_init__(self):
         if self.upper is not None and self.lower > self.upper:
             raise ValueError("lower bound exceeds upper bound")
-
-
-@dataclass(frozen=True)
-class ABClass:
-    """Support class of a derivative order for a power-sum-power form:
-    residues mod the inner exponent, the floor sum A, the ceiling defect B,
-    and the dimensions of the matching source/target weight spaces."""
-
-    beta: tuple[int, ...]
-    A: int
-    B: int
-    dim_a: int
-    dim_b: int
 
 
 def S_formula(p: int, d: int, k: int) -> int:
@@ -181,29 +168,6 @@ def generic_kyfl11_rank(n: int) -> int:
     if n < 2:
         raise ValueError("n must be at least 2")
     return n * n - 1
-
-
-def ab_class(alpha: ExponentVector, delta1: int, delta2: int) -> ABClass:
-    """Support class of the derivative order alpha for the power-sum-power
-    form: A is the sum of floors alpha_i/delta2, B the outer degree minus
-    the sum of ceilings."""
-    alpha = tuple(alpha)
-    if delta1 < 1 or delta2 < 1:
-        raise ValueError("delta1 and delta2 must be at least 1")
-    k = sum(alpha)
-    if not 1 <= k <= delta1 * delta2 - 1:
-        raise ValueError(f"|alpha|={k} outside [1, {delta1 * delta2 - 1}]")
-    r = len(alpha)
-    beta = tuple(a % delta2 for a in alpha)
-    a_val = sum(a // delta2 for a in alpha)
-    b_val = delta1 - sum(-(-a // delta2) for a in alpha)
-    return ABClass(
-        beta=beta,
-        A=a_val,
-        B=b_val,
-        dim_a=binomial(a_val + r - 1, a_val),
-        dim_b=binomial(b_val + r - 1, b_val),
-    )
 
 
 def _bounded_compositions(total: int, parts: int, top: int) -> int:

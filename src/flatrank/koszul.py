@@ -116,6 +116,8 @@ def koszul_flattening(P: Poly, k: int, p: int) -> SparseMatrix:
     (degree-(d-k-1) monomial, (p+1)-wedge).
     """
     d, n = P.degree, P.n_vars
+    if d < 2:
+        raise ValueError("need a form of degree at least 2")
     if not 1 <= k < d:
         raise ValueError(f"derivative order k={k} outside [1, {d - 1}]")
     if not 1 <= p < n:

@@ -215,11 +215,16 @@ def _verify_kyfl11(caps, seed, opts):
 
 def _verify_rankschow(caps, seed, opts):
     cases = []
-    symbolic = all(
-        secant_chow_koszul_ub(r, d, 1, 1) == d * d * r * r - r
-        for d in range(2, 21)
-        for r in range(2, 21)
-    )
+
+    def meets_general_bracket(d, r):
+        # The k = p = 1 closed form against r*[C(d,1)*(C(dr,1) - C(d,1)) + S]:
+        # equal for d >= 3, the weaker (larger) bound at d = 2.
+        closed = secant_chow_koszul_ub(r, d, 1, 1)
+        general = r * (binomial(d, 1) * (binomial(d * r, 1) - binomial(d, 1))
+                       + S_formula(1, d, 1))
+        return closed > general if d == 2 else closed == general
+
+    symbolic = all(meets_general_bracket(d, r) for d in range(2, 21) for r in range(2, 21))
     cases.append(_eq_case("rankschow",
                           {"part": "p1k1_identity", "d_max": 20, "r_max": 20},
                           True, symbolic))

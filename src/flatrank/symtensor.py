@@ -431,15 +431,23 @@ def _from_pattern(coeffs: Sequence, row, col, term, factor, shape, labels) -> Sp
     """The ``shape`` matrix with entry coeffs[term] * factor at (row, col),
     one entry per pattern position, labeled by ``labels()`` on first read.
     The coefficients are carried as integers over their common denominator,
-    which is divided out once per entry."""
+    which is divided out once per entry.  Every entry is a nonzero
+    coefficient times a nonzero factor; a position outside ``shape`` or
+    listed twice raises ValueError."""
+    n_rows, n_cols = shape
+    if row.size and not (0 <= row.min() and row.max() < n_rows
+                         and 0 <= col.min() and col.max() < n_cols):
+        raise ValueError(f"pattern position outside a {n_rows}x{n_cols} matrix")
     order = np.lexsort((col, row))
     den = lcm(*(Fraction(c).denominator for c in coeffs))
     num = np.array([int(c * den) for c in coeffs], dtype=object)
     values = _times(num[term[order]], factor[order]).tolist()
     if den > 1:
         values = map(Fraction, values, itertools.repeat(den))
-    entries = zip(row[order].tolist(), col[order].tolist(), values)
-    return SparseMatrix._deferred(*shape, entries, labels)
+    data = dict(zip(zip(row[order].tolist(), col[order].tolist()), values))
+    if len(data) != row.size:
+        raise ValueError("pattern lists a position twice")
+    return SparseMatrix._wrap(n_rows, n_cols, data, labels)
 
 
 def catalecticant(P: Poly, k: int) -> SparseMatrix:
@@ -450,6 +458,8 @@ def catalecticant(P: Poly, k: int) -> SparseMatrix:
     which rescales columns only and leaves the rank unchanged.
     """
     d, n = P.degree, P.n_vars
+    if d < 2:
+        raise ValueError("need a form of degree at least 2")
     if not 1 <= k < d:
         raise ValueError(f"derivative order k={k} outside [1, {d - 1}]")
     shape = _int64_shape(_basis_size(n, d - k), _basis_size(n, k))

@@ -10,10 +10,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flatrank.exactla import SparseMatrix, binomial, rank_auto, rank_exact, rank_modular
+from flatrank.exactla import (
+    SparseMatrix,
+    _components,
+    binomial,
+    rank_auto,
+    rank_exact,
+    rank_modular,
+)
 from flatrank.koszul import exterior_derivative, koszul_flattening, wedge_basis, wedge_insert
 from flatrank.symtensor import (
     Poly,
+    _from_pattern,
     _glex_rank,
     catalecticant,
     gen_permanent,
@@ -262,3 +270,33 @@ def test_coordinate_text_round_trip_on_builder_output(P, data):
         m = koszul_flattening(P, data.draw(st.integers(1, d - 1)), data.draw(st.integers(1, n - 1)))
     assert all(type(v) is int for _, _, v in m.entries())
     assert SparseMatrix.from_coordinate_text(m.to_coordinate_text()) == m
+
+
+def test_building_and_ranking_never_run_the_checked_constructor(monkeypatch):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a built matrix went through SparseMatrix.__init__")
+
+    monkeypatch.setattr(SparseMatrix, "__init__", refuse)
+    cat = catalecticant(gen_random(3, 4, 7, 2**31 - 1), 2)
+    product = koszul_flattening(gen_product(3), 1, 1)
+    built = [cat, shifted_partials(parse_poly("x1^3 - 2/3*x1*x2*x3", 3), 1, 1), product,
+             exterior_derivative(2, 1, 3), cat.multiply(cat),
+             exterior_derivative(1, 1, 3).multiply(exterior_derivative(2, 0, 3))]
+    assert len(_components(cat)) == 1 and len(_components(product)) == 7
+    ranks = [(rank_exact(m).rank, rank_modular(m).rank) for m in built]
+    # x2 * d/dx2 and x3 * d/dx3 meet in x1*x2*x3; the Koszul complex is exact.
+    assert ranks == [(6, 6), (8, 8), (8, 8), (8, 8), (6, 6), (0, 0)]
+    assert built[-1].is_zero()  # d o d = 0
+
+
+def test_from_pattern_refuses_a_position_outside_or_listed_twice():
+    term, factor = np.zeros(2, dtype=np.int64), np.array([2, -3])
+
+    def build(row, col):
+        return _from_pattern([Fraction(5, 2)], np.array(row), np.array(col), term, factor,
+                             (2, 2), None)
+
+    assert build([0, 1], [1, 0]).entries() == [(0, 1, 5), (1, 0, Fraction(-15, 2))]
+    for row, col in (([0, 2], [1, 0]), ([0, 1], [1, -1]), ([1, 1], [0, 0])):
+        with pytest.raises(ValueError):
+            build(row, col)

@@ -302,6 +302,11 @@ def test_rank_modular_product_cell_matches_exact():
 
 
 def test_rank_result_invariants():
+    q = 2**31 + 11
+    assert RankResult(1, "modular", (q,)).is_certified_lower_bound
+    assert not RankResult(1, "exact_rational").is_certified_lower_bound
+    with pytest.raises(TypeError):
+        RankResult(1, "modular", (q,), True)  # certification is not stored
     with pytest.raises(ValueError):
         RankResult(1, "modular")  # no primes recorded
     with pytest.raises(ValueError):
@@ -313,6 +318,9 @@ def test_rank_result_invariants():
 def test_sparse_matrix_validation():
     with pytest.raises(ValueError):
         SparseMatrix(2, 2, [(0, 0, 1), (0, 0, 2)])  # duplicate
+    for first, second in ((0, 1), (1, 0), (0, 0)):  # a duplicate, whichever copy is zero
+        with pytest.raises(ValueError):
+            SparseMatrix(2, 2, [(0, 0, first), (0, 0, second)])
     with pytest.raises(ValueError):
         SparseMatrix(2, 2, [(2, 0, 1)])  # out of bounds
     with pytest.raises(ValueError):
@@ -340,11 +348,11 @@ def test_deferred_labels_are_listed_and_checked_on_first_read():
         calls.append(None)
         return ["a", "b"], iter(["c"])
 
-    m = SparseMatrix._deferred(2, 1, [(1, 0, 3)], labels)
+    m = SparseMatrix._wrap(2, 1, {(1, 0): 3}, labels)
     assert rank_exact(m).rank == 1 and rank_modular(m).rank == 1 and not calls
     assert (m.row_labels, m.col_labels) == (("a", "b"), ("c",))
     assert len(calls) == 1
-    repeated = SparseMatrix._deferred(2, 1, [], lambda: (["a", "a"], ["c"]))
+    repeated = SparseMatrix._wrap(2, 1, {}, lambda: (["a", "a"], ["c"]))
     with pytest.raises(ValueError):
         repeated.col_labels
 

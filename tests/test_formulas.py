@@ -10,7 +10,6 @@ from flatrank.exactla import binomial, rank_exact, rank_modular
 from flatrank.formulas import (
     BoundReport,
     S_formula,
-    ab_class,
     border_rank_lb,
     chowsrank_bound,
     chowsrank_intermediate_sum,
@@ -134,32 +133,6 @@ def test_generic_kyfl11_rank_and_kernel():
 
     trace = SparseMatrix(matrix.n_cols, 1, [((i * n) + i, 0, 1) for i in range(n)])
     assert matrix.multiply(trace).is_zero()
-
-
-def test_ab_class():
-    cls = ab_class((1, 1), 2, 2)
-    assert (cls.A, cls.B, cls.dim_a, cls.dim_b) == (0, 0, 1, 1)
-    cls = ab_class((2, 0), 2, 2)
-    assert (cls.A, cls.B) == (1, 1)
-    assert cls.beta == (0, 0)
-    # residue-defect identity: B = delta1 - A - #positive residues
-    for alpha in ((3, 1), (2, 2), (1, 0)):
-        cls = ab_class(alpha, 3, 2)
-        assert cls.B == 3 - cls.A - sum(1 for b in cls.beta if b)
-    with pytest.raises(ValueError):
-        ab_class((0, 0), 2, 2)
-
-
-def test_classes_partition_iff_residues_match():
-    # two orders land in the same class iff they differ by inner-exponent steps
-    delta1 = delta2 = 2
-    from flatrank.symtensor import monomial_basis
-
-    for a1 in monomial_basis(2, 2):
-        for a2 in monomial_basis(2, 2):
-            same = ab_class(a1, delta1, delta2).beta == ab_class(a2, delta1, delta2).beta
-            divides = all((x - y) % delta2 == 0 for x, y in zip(a1, a2))
-            assert same == divides
 
 
 def num_ab_enumeration_oracle(A, B, k, delta1, delta2, r):

@@ -107,6 +107,18 @@ def test_rank_file_input_errors_exit_2(capsys, tmp_path):
     assert code == 2 and "too large" in err
     code, out, _ = run_cli(capsys, "rank", str(path))
     assert code == 0 and "rank: 1" in out
+    # A position listed twice is refused whichever copy is zero.
+    for first, second in (("0", "5"), ("5", "0")):
+        path.write_text(f"%%flatrank coordinate rational\n2 2 2\n1 1 {first}\n1 1 {second}\n")
+        code, _, err = run_cli(capsys, "rank", str(path))
+        assert code == 2 and "duplicate entry at (0, 0)" in err
+
+
+def test_flatten_refuses_forms_of_degree_below_two(capsys):
+    code, _, err = run_cli(capsys, "flatten", "5", "--n-vars", "2", "--kind", "cat", "--k", "1")
+    assert code == 2 and "need a form of degree at least 2" in err
+    code, _, err = run_cli(capsys, "flatten", "x1+x2", "--kind", "koszul", "--k", "1", "--p", "1")
+    assert code == 2 and "need a form of degree at least 2" in err
 
 
 def run_child(*argv):
