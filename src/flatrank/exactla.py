@@ -1,22 +1,32 @@
 """Exact sparse linear algebra: labeled sparse matrices over the rationals and
 deterministic rank computation.
 
-Two rank engines are provided.  ``rank_exact`` runs a fraction-free integer
-elimination (denominators are cleared row by row, updates are
-cross-multiplications with per-row content reduction) and returns the true
-rank over the rationals.  ``rank_modular`` ranks the matrix modulo random
-word-sized primes; a modular rank can only undershoot, so the result is a
-certified lower bound that equals the true rank with overwhelming
-probability.
+Both rank engines split the matrix once into the connected components of its
+bipartite row/column graph, each compacted to the rows and columns it
+touches, and sum the component ranks.
 
-The modular engine splits the matrix once into the connected components of
-its bipartite row/column graph, each compacted to the rows and columns it
-touches, and sums the component ranks mod each prime.  A component with
-fill at least ``DENSE_FILL`` is reduced to a dense array and eliminated by a
-vectorized numpy kernel; a sparser one is eliminated by the same Markowitz
-loop as the exact engine, with row updates mod q.  A dense array thus holds
-at most 8 * nnz / DENSE_FILL bytes, never n_rows * n_cols words of the
-declared shape.
+``rank_exact`` returns the true rank over the rationals, by certificate where
+it can.  A component with one row or one column has rank 1.  Any other is
+ranked modulo one word-sized prime drawn from a fixed seed, a lower bound on
+its rank.  The rank is exact when that bound reaches the component's smaller
+side, or when a kernel basis read off the F_q echelon form, lifted to the
+rationals by rational reconstruction, annihilates the component exactly: an
+upper bound that meets it.  A component neither certifies goes to
+fraction-free integer elimination (denominators are cleared row by row,
+updates are cross-multiplications with per-row content reduction), which is
+also the oracle the tests hold the certificates to.
+
+``rank_modular`` ranks the matrix modulo random word-sized primes; a modular
+rank can only undershoot, so the result is a certified lower bound that
+equals the true rank with overwhelming probability.
+
+Modulo a prime, a component with fill at least ``DENSE_FILL`` is reduced to a
+dense array and eliminated by a vectorized numpy kernel, whose echelon form
+also gives the kernel bases to lift; a sparser one is eliminated by the same
+Markowitz loop as the fraction-free engine, with row updates mod q, and is
+not lifted.  A dense array thus holds at most 8 * nnz / DENSE_FILL bytes,
+never n_rows * n_cols words of the declared shape, and the fraction-free
+engine groups the nonzeros by row, so memory follows nnz throughout.
 """
 
 from __future__ import annotations
@@ -25,7 +35,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import comb, gcd
+from math import comb, gcd, isqrt, lcm
 from operator import attrgetter
 from typing import Callable, Iterable, Sequence
 
@@ -36,6 +46,10 @@ import numpy as np
 # inside a signed 64-bit word so the numpy elimination kernel is exact.
 PRIME_FLOOR = 2**31
 PRIME_CEIL = 3037000499
+
+# rank_exact draws the one prime of its certificates from this fixed seed,
+# so an exact rank takes the same path on every run.
+CERTIFICATE_SEED = 1
 
 # Default policy boundary: exact elimination up to this many columns,
 # modular with two primes beyond it.
@@ -374,11 +388,6 @@ def _sparse_integer_rank(rows: list[dict[int, int]]) -> int:
     return _markowitz_rank(rows, _exact_update)
 
 
-def rank_exact(m: SparseMatrix) -> RankResult:
-    """True rank over the rationals (deterministic, fraction-free elimination)."""
-    return RankResult(_sparse_integer_rank(_integer_rows(m)), "exact_rational")
-
-
 def _residues(values: list, q: int) -> np.ndarray:
     """Each stored value (an int or a Fraction) mod q, as int64; ValueError
     when a denominator vanishes mod q.  One inverse is computed per distinct
@@ -406,12 +415,19 @@ def _dense_mod(m: SparseMatrix, q: int) -> np.ndarray:
     return a
 
 
-def _modular_rank_dense(a: np.ndarray, q: int) -> int:
-    if a.shape[0] > a.shape[1]:
-        a = np.ascontiguousarray(a.T)
+def _eliminate(a: np.ndarray, rows: np.ndarray, r: int, c: int, q: int) -> None:
+    """Clear column c of ``rows`` of a against its pivot row r (a[r, c] = 1,
+    zero left of c), mod q, in place."""
+    a[rows, c:] = (a[rows, c:] - a[rows, c][:, None] * a[r, c:][None, :]) % q
+
+
+def _echelon_mod(a: np.ndarray, q: int) -> list[int]:
+    """Bring a, entries in [0, q), to row echelon form over F_q in place,
+    each pivot scaled to 1; return the pivot columns."""
     n_rows, n_cols = a.shape
-    r = 0
+    pivots = []
     for c in range(n_cols):
+        r = len(pivots)
         if r == n_rows:
             break
         nz = np.flatnonzero(a[r:, c])
@@ -424,11 +440,35 @@ def _modular_rank_dense(a: np.ndarray, q: int) -> int:
         a[r, c:] = a[r, c:] * inv % q
         below = np.flatnonzero(a[r + 1:, c])
         if below.size:
-            idx = below + r + 1
-            factors = a[idx, c][:, None]
-            a[idx, c:] = (a[idx, c:] - factors * a[r, c:][None, :]) % q
-        r += 1
-    return r
+            _eliminate(a, below + r + 1, r, c, q)
+        pivots.append(c)
+    return pivots
+
+
+def _modular_rank_dense(a: np.ndarray, q: int) -> int:
+    if a.shape[0] > a.shape[1]:
+        a = np.ascontiguousarray(a.T)
+    return len(_echelon_mod(a, q))
+
+
+def _kernel_mod(a: np.ndarray, q: int) -> np.ndarray:
+    """A basis of the right kernel of a over F_q, one row per non-pivot
+    column of its echelon form, equal to 1 there and 0 at the other
+    non-pivot columns.  Overwrites a."""
+    pivots = _echelon_mod(a, q)
+    is_pivot = set(pivots)
+    free = [c for c in range(a.shape[1]) if c not in is_pivot]
+    kernel = np.zeros((len(free), a.shape[1]), dtype=np.int64)
+    if free:
+        # Clear above each pivot too: in the reduced form, the kernel vector
+        # of a free column is minus that column on the pivots.
+        for i in range(len(pivots) - 1, 0, -1):
+            above = np.flatnonzero(a[:i, pivots[i]])
+            if above.size:
+                _eliminate(a, above, i, pivots[i], q)
+        kernel[range(len(free)), free] = 1
+        kernel[:, pivots] = (-a[:len(pivots), free].T) % q
+    return kernel
 
 
 def _component_labels(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
@@ -516,6 +556,18 @@ def _modular_rank_components(components: Sequence[SparseMatrix], q: int) -> int:
     return rank
 
 
+def _draw_prime(rng: random.Random, denominators: set[int]) -> int:
+    """The next prime from ``rng`` that divides none of ``denominators``."""
+    while True:
+        q = random_prime(rng)
+        if not any(den % q == 0 for den in denominators):
+            return q
+
+
+def _denominators(m: SparseMatrix) -> set[int]:
+    return {v.denominator for v in m._data.values()} - {1}
+
+
 def rank_modular(m: SparseMatrix, prime_count: int = 2, seed: int = 0) -> RankResult:
     """Max of the mod-q ranks over ``prime_count`` random primes.
 
@@ -526,17 +578,111 @@ def rank_modular(m: SparseMatrix, prime_count: int = 2, seed: int = 0) -> RankRe
         raise ValueError("prime_count must be at least 1")
     _int64_shape(m.n_rows, m.n_cols)
     components = _components(m)
-    denominators = {v.denominator for v in m._data.values()} - {1}
+    denominators = _denominators(m)
     rng = random.Random(seed)
-    best = 0
-    primes = []
-    for _ in range(prime_count):
-        q = random_prime(rng)
-        while any(den % q == 0 for den in denominators):
-            q = random_prime(rng)
-        primes.append(q)
-        best = max(best, _modular_rank_components(components, q))
+    primes = [_draw_prime(rng, denominators) for _ in range(prime_count)]
+    best = max(_modular_rank_components(components, q) for q in primes)
     return RankResult(best, "modular", tuple(primes))
+
+
+def _rational_reconstruction(x: int, q: int) -> Fraction | None:
+    """The fraction a/b = x mod q with |a|, b <= sqrt(q/2), or None when
+    there is none (Wang's half extended Euclid)."""
+    bound = isqrt(q // 2)
+    r0, r1, t0, t1 = q, x, 0, 1
+    while r1 > bound:
+        quotient = r0 // r1
+        r0, r1 = r1, r0 - quotient * r1
+        t0, t1 = t1, t0 - quotient * t1
+    if abs(t1) > bound or gcd(r1, t1) != 1:
+        return None
+    return Fraction(r1, t1)
+
+
+def _lifted_rank(m: SparseMatrix, q: int) -> int | None:
+    """Rank of m proven from the dense F_q echelon form of m or its
+    transpose, whichever is taller, or None when the proof does not close;
+    no denominator of m may vanish mod q.
+
+    The rank r mod q is a lower bound, and the shape closes it when r is the
+    smaller side.  Otherwise the kernel basis mod q, on the side with the
+    smaller nullity, has min side - r vectors, each 1 at its own free
+    coordinate and 0 at the others, so their lifts are independent over Q.
+    Each entry is rationally reconstructed, each vector cleared of
+    denominators, and its product with m checked to be zero exactly: then
+    the nullity is at least min side - r, so the rank is r.
+    """
+    tall = m.n_rows >= m.n_cols
+    a = _dense_mod(m, q)
+    kernel = _kernel_mod(a if tall else np.ascontiguousarray(a.T), q)
+    side = kernel.shape[1]
+    if not len(kernel):
+        return side
+    # m's entries grouped by the index a kernel vector multiplies; a vector
+    # is nonzero only at its free coordinate and the pivots, so the check
+    # reads only those groups.
+    groups: list[list[tuple[int, object]]] = [[] for _ in range(side)]
+    for (i, j), v in m._data.items():
+        if tall:
+            groups[j].append((i, v))
+        else:
+            groups[i].append((j, v))
+    for vector in kernel:
+        lifted = {}
+        for c in np.flatnonzero(vector).tolist():
+            value = _rational_reconstruction(int(vector[c]), q)
+            if value is None:
+                return None
+            lifted[c] = value
+        scale = lcm(*(v.denominator for v in lifted.values()))
+        residual: dict[int, object] = {}
+        for c, value in lifted.items():
+            k = int(value * scale)
+            for i, v in groups[c]:
+                residual[i] = residual.get(i, 0) + v * k
+        if any(residual.values()):
+            return None
+    return side - len(kernel)
+
+
+def _component_rank(comp: SparseMatrix, q: int) -> int:
+    """Exact rank of a connected component, certified from F_q when it can
+    be: a full mod-q rank, or a mod-q rank met by a lifted kernel."""
+    # The lift reads the dense F_q echelon form, which also gives the rank,
+    # so a component the dense kernel ranks is lifted in that one pass.  A
+    # sparser one is ranked sparsely and not lifted: memory follows nnz.
+    if comp.nnz >= DENSE_FILL * comp.n_rows * comp.n_cols:
+        lifted = _lifted_rank(comp, q)
+        if lifted is not None:
+            return lifted
+    elif _modular_rank_components([comp], q) == min(comp.n_rows, comp.n_cols):
+        return min(comp.n_rows, comp.n_cols)
+    return _sparse_integer_rank(_integer_rows(comp))
+
+
+def rank_exact(m: SparseMatrix) -> RankResult:
+    """True rank over the rationals, summed over the connected components.
+
+    A component with one row or one column has rank 1.  Any other is ranked
+    mod one prime, drawn from CERTIFICATE_SEED on first need: that rank is a
+    lower bound, and it is exact when it reaches the shape's bound or when a
+    kernel lifted from F_q (see ``_lifted_rank``) annihilates the component
+    exactly.  Fraction-free elimination ranks the components neither
+    certifies, and every matrix too large to index in 64 bits.  Memory
+    follows nnz, not the declared shape.
+    """
+    if max(m.n_rows, m.n_cols) >= 2**63:
+        return RankResult(_sparse_integer_rank(_integer_rows(m)), "exact_rational")
+    rank = 0
+    q = None
+    for comp in _components(m):
+        if min(comp.n_rows, comp.n_cols) == 1:
+            rank += 1
+            continue
+        if q is None:
+            q = _draw_prime(random.Random(CERTIFICATE_SEED), _denominators(m))
+        rank += _component_rank(comp, q)
+    return RankResult(rank, "exact_rational")
 
 
 def rank_auto(m: SparseMatrix, seed: int = 0, prime_count: int = 2) -> RankResult:

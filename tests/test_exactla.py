@@ -26,11 +26,17 @@ from flatrank.exactla import (
 from flatrank.exactla import (
     _components,
     _dense_mod,
+    _integer_rows,
+    _kernel_mod,
     _modular_rank_components,
     _modular_rank_dense,
+    _sparse_integer_rank,
 )
 from flatrank.koszul import koszul_flattening
-from flatrank.symtensor import catalecticant, gen_power_sum_power, gen_product
+from flatrank.symtensor import catalecticant, gen_power_sum_power, gen_product, gen_random
+
+# The prime rank_exact certifies with, drawn as it draws it.
+CERTIFICATE_PRIME = random_prime(random.Random(exactla.CERTIFICATE_SEED))
 
 
 def dense_rank_oracle(rows):
@@ -54,6 +60,11 @@ def dense_rank_oracle(rows):
                 rows[i] = [a - factor * b for a, b in zip(rows[i], rows[rank])]
         rank += 1
     return rank
+
+
+def fraction_free_rank(m):
+    """The fraction-free engine alone, the oracle the certificates answer to."""
+    return _sparse_integer_rank(_integer_rows(m))
 
 
 def to_dense(m):
@@ -158,7 +169,7 @@ def test_rank_modular_never_exceeds_exact_and_hits_it():
     ]
     for m in samples:
         assert m.n_cols <= 200
-        exact = rank_exact(m).rank
+        exact = fraction_free_rank(m)
         mods = [rank_modular(m, 1, rng.randrange(10**6)).rank for _ in range(3)]
         assert all(v <= exact for v in mods)
         assert exact in mods
@@ -224,8 +235,9 @@ def test_component_rank_mod_q_matches_dense_kernel(m, q):
 @st.composite
 def planted_rank_blocks(draw):
     """Blocks B*C from small integer factors on the diagonal, rows and columns
-    permuted and padded, some rows scaled by a rational."""
-    factor = st.integers(-3, 3)
+    permuted and padded, some rows scaled by a rational.  A factor or a scale
+    may be the certificate prime, which rank_exact's mod-q pass then misses."""
+    factor = st.sampled_from([-3, -2, -1, 0, 1, 2, 3, CERTIFICATE_PRIME])
     entries = []
     n_rows = n_cols = 0
     for rows, inner, cols in draw(st.lists(
@@ -244,7 +256,8 @@ def planted_rank_blocks(draw):
     row_perm = draw(st.permutations(range(n_rows + pad_rows)))
     col_perm = draw(st.permutations(range(n_cols + pad_cols)))
     scale = draw(st.lists(
-        st.builds(Fraction, st.sampled_from([1, -1, 2, -3]), st.sampled_from([1, 2, 3, 4])),
+        st.builds(Fraction, st.sampled_from([1, -1, 2, -3, CERTIFICATE_PRIME]),
+                  st.sampled_from([1, 2, 3, 4])),
         min_size=n_rows, max_size=n_rows))
     return SparseMatrix(n_rows + pad_rows, n_cols + pad_cols,
                         [(row_perm[i], col_perm[j], scale[i] * v) for i, j, v in entries])
@@ -253,7 +266,73 @@ def planted_rank_blocks(draw):
 @settings(max_examples=60, deadline=None)
 @given(planted_rank_blocks(), st.integers(0, 2**16))
 def test_rank_exact_equals_rank_modular_on_planted_ranks(m, seed):
-    assert rank_exact(m).rank == rank_modular(m, 2, seed).rank
+    certified = rank_exact(m).rank
+    assert certified == fraction_free_rank(m) == rank_modular(m, 2, seed).rank
+
+
+def test_rank_exact_falls_back_when_the_prime_divides_an_entry():
+    # diag(q, 1) would split into two 1x1 components, which need no prime;
+    # the 1 above the diagonal keeps a single component.
+    q = CERTIFICATE_PRIME
+    m = from_dense([[q, 1], [0, 1]])
+    assert _modular_rank_components([m], q) == 1
+    assert exactla._lifted_rank(m, q) is None
+    with mock.patch.object(exactla, "_sparse_integer_rank",
+                           wraps=_sparse_integer_rank) as fallback:
+        assert rank_exact(m).rank == 2
+    assert fallback.call_count == 1
+
+
+@pytest.mark.parametrize("n, d", [(3, 3), (4, 4), (5, 3)])
+def test_rank_exact_lift_closes_on_random_kyfl11_matrices(n, d):
+    m = koszul_flattening(gen_random(n, d, 100 * n + d, 1000), 1, 1)
+    with mock.patch.object(exactla, "_sparse_integer_rank", side_effect=AssertionError), \
+            mock.patch.object(exactla, "_lifted_rank", wraps=exactla._lifted_rank) as lift:
+        assert rank_exact(m).rank == n * n - 1
+    assert lift.call_count >= 1
+
+
+def test_rank_exact_lift_gives_up_on_large_generic_kernels():
+    # A generic rank-3 product of 2^31-sized factors: its kernel entries are
+    # ratios of 3x3 minors, far past what reconstruction mod q can return.
+    rng = random.Random(2)
+    b = [[rng.randint(1, 2**31) for _ in range(3)] for _ in range(6)]
+    c = [[rng.randint(1, 2**31) for _ in range(5)] for _ in range(3)]
+    rows = [[sum(b[i][t] * c[t][j] for t in range(3)) for j in range(5)] for i in range(6)]
+    m = from_dense(rows)
+    assert _modular_rank_components([m], CERTIFICATE_PRIME) == 3
+    assert exactla._lifted_rank(m, CERTIFICATE_PRIME) is None
+    with mock.patch.object(exactla, "_sparse_integer_rank",
+                           wraps=_sparse_integer_rank) as fallback:
+        assert rank_exact(m).rank == dense_rank_oracle(rows) == 3
+    assert fallback.call_count == 1
+
+
+def test_rank_exact_draws_a_prime_only_for_components_that_need_one():
+    # Two 1x1 blocks, a 1x3 row and a 3x1 column: every component has rank 1.
+    thin = [(0, 0, 5), (1, 1, Fraction(1, 3)), (2, 2, 1), (2, 3, 2), (2, 4, 3),
+            (3, 5, 4), (4, 5, 5), (5, 5, 6)]
+    square = [(6, 6, 1), (6, 7, 2), (7, 6, 3), (7, 7, 4), (8, 8, 1), (8, 9, 1), (9, 9, 1)]
+    with mock.patch.object(exactla, "random_prime", wraps=random_prime) as draw:
+        assert rank_exact(SparseMatrix(10, 10, thin)).rank == 4
+        assert draw.call_count == 0
+        # Two 2x2 components share one lazily drawn prime.
+        assert rank_exact(SparseMatrix(10, 10, thin + square)).rank == 8
+        assert draw.call_count == 1
+        # A denominator the certificate prime divides forces one redraw.
+        redrawn = from_dense([[Fraction(1, CERTIFICATE_PRIME), 1], [1, 1]])
+        assert rank_exact(redrawn).rank == 2
+        assert draw.call_count == 3
+
+
+@settings(max_examples=60, deadline=None)
+@given(permuted_block_diagonal(), st.sampled_from([5, 101, 3037000493]))
+def test_kernel_mod_spans_the_kernel_mod_q(m, q):
+    a = _dense_mod(m, q)
+    kernel = _kernel_mod(a.copy(), q)
+    assert len(kernel) == m.n_cols - _modular_rank_dense(a.copy(), q)
+    assert not (a.astype(object) @ kernel.T.astype(object) % q).any()
+    assert _modular_rank_dense(kernel.copy(), q) == len(kernel)
 
 
 @pytest.mark.parametrize("k, p, seed, rank, primes", [
@@ -296,7 +375,7 @@ def test_rank_modular_product_cell_matches_exact():
     # x1*x2*x3 at (1,1): seven weight blocks, ranked together mod q
     m = koszul_flattening(gen_product(3), 1, 1)
     modular = rank_modular(m, 2, 3)
-    assert modular.rank == rank_exact(m).rank == 8
+    assert modular.rank == fraction_free_rank(m) == 8
     assert modular.method == "modular"
     assert modular.is_certified_lower_bound
 

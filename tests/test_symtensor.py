@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from flatrank.exactla import binomial, rank_exact
@@ -26,7 +26,7 @@ from flatrank.symtensor import (
     set_variables_to_zero,
     shifted_partials,
 )
-from test_exactla import from_dense
+from test_exactla import dense_rank_oracle
 
 
 def test_monomial_basis_graded_lex_order():
@@ -224,21 +224,18 @@ def test_flattening_rank_symmetry():
             assert left == right
 
 
-def test_substitution_invariance():
-    rng = random.Random(4)
-    for _ in range(8):
-        n = rng.randint(2, 4)
-        d = rng.randint(2, 4)
-        k = rng.randint(1, d - 1)
-        p = gen_random(n, d, rng.randrange(10**6), 30)
-        while True:
-            g = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
-            if rank_exact(from_dense(g)).rank == n:
-                break
-        assert (
-            rank_exact(catalecticant(apply_linear_map(p, g), k)).rank
-            == rank_exact(catalecticant(p, k)).rank
-        )
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.integers(2, 4), st.integers(2, 4), st.integers(0, 10**6))
+def test_substitution_invariance(data, n, d, seed):
+    k = data.draw(st.integers(1, d - 1))
+    g = data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                           min_size=n, max_size=n))
+    assume(dense_rank_oracle(g) == n)
+    p = gen_random(n, d, seed, 30)
+    assert (
+        rank_exact(catalecticant(apply_linear_map(p, g), k)).rank
+        == rank_exact(catalecticant(p, k)).rank
+    )
 
 
 def test_generic_flattenings_have_maximal_rank():
