@@ -1,8 +1,9 @@
 """Exact sparse linear algebra: labeled sparse matrices over the rationals and
 deterministic rank computation.
 
-Both rank engines split the matrix once into the connected components of its
-bipartite row/column graph, each compacted to the rows and columns it
+A matrix keeps its nonzeros as row-major coordinate arrays.  Both rank
+engines split it once, by array operations, into the connected components of
+its bipartite row/column graph, each compacted to the rows and columns it
 touches, and sum the component ranks.
 
 ``rank_exact`` returns the true rank over the rationals, by certificate where
@@ -20,13 +21,14 @@ also the oracle the tests hold the certificates to.
 rank can only undershoot, so the result is a certified lower bound that
 equals the true rank with overwhelming probability.
 
-Modulo a prime, a component with fill at least ``DENSE_FILL`` is reduced to a
-dense array and eliminated by a vectorized numpy kernel, whose echelon form
-also gives the kernel bases to lift; a sparser one is eliminated by the same
-Markowitz loop as the fraction-free engine, with row updates mod q, and is
-not lifted.  A dense array thus holds at most 8 * nnz / DENSE_FILL bytes,
-never n_rows * n_cols words of the declared shape, and the fraction-free
-engine groups the nonzeros by row, so memory follows nnz throughout.
+Modulo a prime, a component with fill at least ``DENSE_FILL`` is scattered,
+its values reduced mod q, into a dense array and eliminated by a vectorized
+numpy kernel, whose echelon form also gives the kernel bases to lift; a
+sparser one is eliminated by the same Markowitz loop as the fraction-free
+engine, with row updates mod q, and is not lifted.  A dense array thus holds
+at most 8 * nnz / DENSE_FILL bytes, never n_rows * n_cols words of the
+declared shape, and the fraction-free engine groups the nonzeros by row, so
+memory follows nnz throughout.
 """
 
 from __future__ import annotations
@@ -34,9 +36,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import groupby
 from math import comb, gcd, isqrt, lcm
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -113,19 +115,22 @@ def _int64_shape(n_rows: int, n_cols: int) -> tuple[int, int]:
 class SparseMatrix:
     """Immutable sparse matrix with exact entries and optional basis labels.
 
-    Entries are ints or Fractions: ints and Fractions are stored as they
-    come, any other rational number as a Fraction, and floats are refused.
-    Zero entries are never stored.  The constructor checks every entry it is
-    given: a position inside the shape, listed at most once whatever its
-    value, and an exact value.  Matrices built inside the package (builders,
-    products, components) come finished through ``_wrap`` and are not checked
-    again.
+    The nonzeros are stored as three coordinate arrays in row-major order:
+    rows and columns (int64, or Python ints in an object array when a side
+    is 2^63 or more) and values (int64 when a builder computed them in
+    machine words, otherwise the ints and Fractions as they come in an
+    object array).  The constructor takes ints or Fractions, stores any
+    other rational number as a Fraction, refuses floats and drops zeros.
+    It checks every entry it is given: a position inside the shape, listed
+    at most once whatever its value, and an exact value.  Matrices built
+    inside the package (builders, products, components) come finished
+    through ``_wrap`` and are not checked again.
     Labels, when present, are opaque hashable objects, one per row/column,
     pairwise distinct.  A builder defers them: its labels are listed and
     checked the first time ``row_labels`` or ``col_labels`` is read.
     """
 
-    __slots__ = ("n_rows", "n_cols", "_data", "_labels")
+    __slots__ = ("n_rows", "n_cols", "_rows", "_cols", "_values", "_labels")
 
     def __init__(
         self,
@@ -137,9 +142,9 @@ class SparseMatrix:
     ):
         if n_rows < 0 or n_cols < 0:
             raise ValueError("matrix dimensions must be non-negative")
-        self.n_rows = n_rows
-        self.n_cols = n_cols
-        data: dict[tuple[int, int], object] = {}
+        self.n_rows, self.n_cols = n_rows, n_cols
+        seen: set[tuple[int, int]] = set()
+        kept = []
         for i, j, value in entries:
             if not (0 <= i < n_rows and 0 <= j < n_cols):
                 raise ValueError(f"entry ({i}, {j}) outside a {n_rows}x{n_cols} matrix")
@@ -148,10 +153,15 @@ class SparseMatrix:
                 if isinstance(value, float):
                     raise TypeError("exact matrices do not accept floats")
                 value = Fraction(value)
-            if (i, j) in data:
+            if (i, j) in seen:
                 raise ValueError(f"duplicate entry at ({i}, {j})")
-            data[i, j] = value
-        self._data = data if all(data.values()) else {k: v for k, v in data.items() if v}
+            seen.add((i, j))
+            if value:
+                kept.append((i, j, value))
+        index = np.int64 if max(n_rows, n_cols) < 2**63 else object
+        rows, cols, values = zip(*sorted(kept)) if kept else ((), (), ())
+        self._rows, self._cols = np.array(rows, dtype=index), np.array(cols, dtype=index)
+        self._values = np.array(values, dtype=object)
         self._labels = self._checked(row_labels, col_labels)
 
     def _checked(self, row_labels, col_labels) -> tuple:
@@ -170,13 +180,14 @@ class SparseMatrix:
         return labels
 
     @classmethod
-    def _wrap(cls, n_rows: int, n_cols: int, data: dict,
-              labels: Callable[[], tuple] | None = None) -> "SparseMatrix":
-        """Wrap a finished {(i, j): value} dict without copying or checking it:
-        every position inside the shape, no zero value, ints or Fractions only.
+    def _wrap(cls, n_rows: int, n_cols: int, rows: np.ndarray, cols: np.ndarray,
+              values: np.ndarray, labels: Callable[[], tuple] | None = None) -> "SparseMatrix":
+        """Wrap finished coordinate arrays without copying or checking them:
+        positions inside the shape, row-major sorted and none twice; values
+        nonzero, int64 or ints and Fractions in an object array.
         The (row, column) labels are ``labels()``, called on first read."""
         m = cls.__new__(cls)
-        m.n_rows, m.n_cols, m._data = n_rows, n_cols, data
+        m.n_rows, m.n_cols, m._rows, m._cols, m._values = n_rows, n_cols, rows, cols, values
         m._labels = (None, None) if labels is None else labels
         return m
 
@@ -195,26 +206,26 @@ class SparseMatrix:
 
     @property
     def nnz(self) -> int:
-        return len(self._data)
+        return self._values.size
 
     def entry(self, i: int, j: int):
         if not (0 <= i < self.n_rows and 0 <= j < self.n_cols):
             raise IndexError((i, j))
-        return self._data.get((i, j), Fraction(0))
+        start, end = np.searchsorted(self._rows, [i, i + 1])
+        at = start + np.flatnonzero(self._cols[start:end] == j)
+        return self._values[at].tolist()[0] if at.size else Fraction(0)
 
     def entries(self) -> list[tuple[int, int, object]]:
-        return [(i, j, self._data[i, j]) for i, j in sorted(self._data)]
+        return list(zip(self._rows.tolist(), self._cols.tolist(), self._values.tolist()))
 
     def is_zero(self) -> bool:
-        return not self._data
+        return not self._values.size
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparseMatrix):
             return NotImplemented
-        return (
-            (self.n_rows, self.n_cols) == (other.n_rows, other.n_cols)
-            and self._data == other._data
-        )
+        return ((self.n_rows, self.n_cols) == (other.n_rows, other.n_cols)
+                and self.entries() == other.entries())
 
     def __repr__(self) -> str:
         return f"SparseMatrix({self.n_rows}x{self.n_cols} over Q, nnz={self.nnz})"
@@ -222,17 +233,21 @@ class SparseMatrix:
     def multiply(self, other: "SparseMatrix") -> "SparseMatrix":
         if self.n_cols != other.n_rows:
             raise ValueError("incompatible matrices for multiply")
-        by_row: dict[int, list[tuple[int, object]]] = {}
-        for (i, j), v in other._data.items():
-            by_row.setdefault(i, []).append((j, v))
-        acc: dict[tuple[int, int], object] = {}
-        for (i, k), v in self._data.items():
-            for j, w in by_row.get(k, ()):
-                key = (i, j)
-                acc[key] = acc.get(key, 0) + v * w
-        data = {key: v for key, v in acc.items() if v}
-        return SparseMatrix._wrap(self.n_rows, other.n_cols, data,
-                                  lambda: (self.row_labels, other.col_labels))
+        # Pair each entry (i, k) of self with each (k, j) of other; sum by (i, j).
+        start = np.searchsorted(other._rows, self._cols)
+        count = np.searchsorted(other._rows, self._cols, side="right") - start
+        left = np.repeat(np.arange(self.nnz), count)
+        right = np.arange(left.size) + np.repeat(start - np.cumsum(count) + count, count)
+        order = np.lexsort((other._cols[right], self._rows[left]))
+        left, right = left[order], right[order]
+        rows, cols = self._rows[left], other._cols[right]
+        runs = np.flatnonzero(np.diff(rows, prepend=-1) | np.diff(cols, prepend=-1))
+        terms = self._values[left].astype(object) * other._values[right].astype(object)
+        sums = np.add.reduceat(terms, runs) if runs.size else terms
+        kept = np.flatnonzero(sums)
+        at = runs[kept]
+        return SparseMatrix._wrap(self.n_rows, other.n_cols, rows[at], cols[at],
+                                  sums[kept], lambda: (self.row_labels, other.col_labels))
 
     def to_coordinate_text(self) -> str:
         """Coordinate text dump (1-based indices, one 'row col value' line per entry)."""
@@ -292,16 +307,11 @@ class RankResult:
 def _integer_rows(m: SparseMatrix) -> list[dict[int, int]]:
     """Nonzero rows in row order as column->integer dicts, denominators
     cleared per row.  Memory follows nnz, not the declared row count."""
-    rows: dict[int, dict[int, Fraction]] = {}
-    for (i, j), v in m._data.items():
-        rows.setdefault(i, {})[j] = v
     out = []
-    for i in sorted(rows):
-        row = rows[i]
-        scale = 1
-        for v in row.values():
-            scale = scale * v.denominator // gcd(scale, v.denominator)
-        out.append({j: int(v * scale) for j, v in row.items()})
+    for _, row in groupby(m.entries(), itemgetter(0)):
+        row = list(row)
+        scale = lcm(*(v.denominator for _, _, v in row))
+        out.append({j: int(v * scale) for _, j, v in row})
     return out
 
 
@@ -388,12 +398,12 @@ def _sparse_integer_rank(rows: list[dict[int, int]]) -> int:
     return _markowitz_rank(rows, _exact_update)
 
 
-def _residues(values: list, q: int) -> np.ndarray:
-    """Each stored value (an int or a Fraction) mod q, as int64; ValueError
-    when a denominator vanishes mod q.  One inverse is computed per distinct
-    denominator."""
-    if Fraction not in set(map(type, values)):
-        return (np.array(values, dtype=object) % q).astype(np.int64)
+def _residues(values: np.ndarray, q: int) -> np.ndarray:
+    """Each stored value (int64, or an int or a Fraction) mod q, as int64;
+    ValueError when a denominator vanishes mod q.  One inverse is computed
+    per distinct denominator."""
+    if values.dtype != object or Fraction not in set(map(type, values)):
+        return (values % q).astype(np.int64)
     num = np.array(list(map(attrgetter("numerator"), values)), dtype=object)
     den = np.array(list(map(attrgetter("denominator"), values)), dtype=object)
     out = num % q
@@ -408,10 +418,7 @@ def _residues(values: list, q: int) -> np.ndarray:
 def _dense_mod(m: SparseMatrix, q: int) -> np.ndarray:
     """Reduce a rational matrix mod q; ValueError when a denominator vanishes."""
     a = np.zeros((m.n_rows, m.n_cols), dtype=np.int64)
-    nnz = m.nnz
-    if nnz:
-        ij = np.fromiter(chain.from_iterable(m._data), np.int64, 2 * nnz).reshape(nnz, 2)
-        a[ij[:, 0], ij[:, 1]] = _residues(list(m._data.values()), q)
+    a[m._rows, m._cols] = _residues(m._values, q)
     return a
 
 
@@ -506,12 +513,10 @@ def _components(m: SparseMatrix) -> list[SparseMatrix]:
     The rank of m, over Q or mod any q, is the sum of the component ranks:
     an entry that vanishes mod q can only split a component further.
     """
-    nnz = m.nnz
-    if not nnz:
+    if not m.nnz:
         return []
-    ij = np.fromiter(chain.from_iterable(m._data), np.int64, 2 * nnz).reshape(nnz, 2)
-    rows, ri = np.unique(ij[:, 0], return_inverse=True)
-    cols, cj = np.unique(ij[:, 1], return_inverse=True)
+    rows, ri = np.unique(m._rows, return_inverse=True)
+    cols, cj = np.unique(m._cols, return_inverse=True)
     n_r = rows.size
     labels, comp = np.unique(_component_labels(ri, cj + n_r, n_r + cols.size),
                              return_inverse=True)
@@ -520,20 +525,14 @@ def _components(m: SparseMatrix) -> list[SparseMatrix]:
     row_comp, col_comp = comp[:n_r], comp[n_r:]
     row_pos, col_pos = _positions(row_comp, labels.size), _positions(col_comp, labels.size)
     entry_comp = row_comp[ri]
+    # A stable sort keeps each component's entries row-major.
     order = np.argsort(entry_comp, kind="stable")
     ends = np.cumsum(np.bincount(entry_comp, minlength=labels.size)).tolist()
-    local = list(zip(row_pos[ri][order].tolist(), col_pos[cj][order].tolist()))
-    values = list(m._data.values())
-    values = [values[e] for e in order.tolist()]
+    local_rows, local_cols, values = row_pos[ri][order], col_pos[cj][order], m._values[order]
     n_rows = np.bincount(row_comp, minlength=labels.size).tolist()
     n_cols = np.bincount(col_comp, minlength=labels.size).tolist()
-    out = []
-    start = 0
-    for c, end in enumerate(ends):
-        data = dict(zip(local[start:end], values[start:end]))
-        out.append(SparseMatrix._wrap(n_rows[c], n_cols[c], data))
-        start = end
-    return out
+    return [SparseMatrix._wrap(r, c, local_rows[a:b], local_cols[a:b], values[a:b])
+            for r, c, a, b in zip(n_rows, n_cols, [0, *ends], ends)]
 
 
 def _modular_rank_components(components: Sequence[SparseMatrix], q: int) -> int:
@@ -549,7 +548,8 @@ def _modular_rank_components(components: Sequence[SparseMatrix], q: int) -> int:
             rank += _modular_rank_dense(_dense_mod(comp, q), q)
             continue
         rows: dict[int, dict[int, int]] = {}
-        for (i, j), r in zip(comp._data, _residues(list(comp._data.values()), q).tolist()):
+        residues = _residues(comp._values, q).tolist()
+        for i, j, r in zip(comp._rows.tolist(), comp._cols.tolist(), residues):
             if r:
                 rows.setdefault(i, {})[j] = r
         rank += _markowitz_rank(list(rows.values()), update)
@@ -565,7 +565,8 @@ def _draw_prime(rng: random.Random, denominators: set[int]) -> int:
 
 
 def _denominators(m: SparseMatrix) -> set[int]:
-    return {v.denominator for v in m._data.values()} - {1}
+    values = m._values.tolist() if m._values.dtype == object else ()
+    return {v.denominator for v in values} - {1}
 
 
 def rank_modular(m: SparseMatrix, prime_count: int = 2, seed: int = 0) -> RankResult:
@@ -621,12 +622,10 @@ def _lifted_rank(m: SparseMatrix, q: int) -> int | None:
     # m's entries grouped by the index a kernel vector multiplies; a vector
     # is nonzero only at its free coordinate and the pivots, so the check
     # reads only those groups.
+    index, other = (m._cols, m._rows) if tall else (m._rows, m._cols)
     groups: list[list[tuple[int, object]]] = [[] for _ in range(side)]
-    for (i, j), v in m._data.items():
-        if tall:
-            groups[j].append((i, v))
-        else:
-            groups[i].append((j, v))
+    for c, i, v in zip(index.tolist(), other.tolist(), m._values.tolist()):
+        groups[c].append((i, v))
     for vector in kernel:
         lifted = {}
         for c in np.flatnonzero(vector).tolist():

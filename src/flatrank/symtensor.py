@@ -139,9 +139,9 @@ class Poly:
         return Poly(self.n_vars, self.degree + other.degree, terms)
 
     def to_text(self) -> str:
-        """Render in the input grammar (graded-lex term order)."""
+        """Render in the input grammar (graded-lex term order), keeping a zero form's degree."""
         if not self.terms:
-            return "0"
+            return f"0*x1^{self.degree}" if self.degree else "0"
         chunks = []
         for exps in sorted(self.terms, reverse=True):
             coeff = self.terms[exps]
@@ -439,15 +439,15 @@ def _from_pattern(coeffs: Sequence, row, col, term, factor, shape, labels) -> Sp
                          and 0 <= col.min() and col.max() < n_cols):
         raise ValueError(f"pattern position outside a {n_rows}x{n_cols} matrix")
     order = np.lexsort((col, row))
+    row, col = row[order], col[order]
+    if ((row[1:] == row[:-1]) & (col[1:] == col[:-1])).any():
+        raise ValueError("pattern lists a position twice")
     den = lcm(*(Fraction(c).denominator for c in coeffs))
     num = np.array([int(c * den) for c in coeffs], dtype=object)
-    values = _times(num[term[order]], factor[order]).tolist()
+    values = _times(num[term[order]], factor[order])
     if den > 1:
-        values = map(Fraction, values, itertools.repeat(den))
-    data = dict(zip(zip(row[order].tolist(), col[order].tolist()), values))
-    if len(data) != row.size:
-        raise ValueError("pattern lists a position twice")
-    return SparseMatrix._wrap(n_rows, n_cols, data, labels)
+        values = np.array([Fraction(v, den) for v in values.tolist()], dtype=object)
+    return SparseMatrix._wrap(n_rows, n_cols, row, col, values, labels)
 
 
 def catalecticant(P: Poly, k: int) -> SparseMatrix:

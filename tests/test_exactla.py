@@ -224,6 +224,7 @@ def test_component_rank_mod_q_matches_dense_kernel(m, q):
     reference = _modular_rank_dense(_dense_mod(m, q), q)
     components = _components(m)
     assert len(components) == union_find_components(m)
+    assert all(c == SparseMatrix(c.n_rows, c.n_cols, c.entries()) for c in components)
     assert sum(c.nnz for c in components) == m.nnz
     assert _modular_rank_components(components, q) == reference
     # Every component through the sparse F_q loop, then through the dense kernel.
@@ -412,12 +413,83 @@ def test_sparse_matrix_validation():
     assert m.nnz == 1  # zeros are dropped
 
 
+@pytest.mark.parametrize("m", [
+    catalecticant(gen_random(3, 4, 7, 2**31 - 1), 2),
+    koszul_flattening(gen_product(4), 2, 1),
+    koszul_flattening(gen_power_sum_power(3, 2, 2), 1, 1),
+    catalecticant(gen_random(2, 4, 3, 9).scale(Fraction(1, 3)), 2),
+])
+def test_components_of_built_matrices_keep_the_stored_order(m):
+    # _wrap checks nothing: a component listed out of row-major order, with
+    # a zero or a repeated position would differ from its checked rebuild.
+    components = _components(m)
+    assert sum(c.nnz for c in components) == m.nnz
+    for c in components:
+        assert c == SparseMatrix(c.n_rows, c.n_cols, c.entries())
+        assert c._values.dtype == m._values.dtype
+
+
+@st.composite
+def product_pairs(draw):
+    """Two matrices with a common inner size and mixed int/Fraction entries."""
+    sizes = [draw(st.integers(1, 5)) for _ in range(3)]
+    value = st.integers(-3, 3) | st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+
+    def matrix(n_rows, n_cols):
+        cells = draw(st.lists(st.tuples(st.integers(0, n_rows - 1), st.integers(0, n_cols - 1)),
+                              unique=True, max_size=n_rows * n_cols))
+        return SparseMatrix(n_rows, n_cols, [(i, j, draw(value)) for i, j in cells])
+
+    return matrix(*sizes[:2]), matrix(*sizes[1:])
+
+
+@settings(max_examples=80, deadline=None)
+@given(product_pairs())
+def test_multiply_matches_dense_product(pair):
+    a, b = pair
+    product = a.multiply(b)
+    dense_a, dense_b = to_dense(a), to_dense(b)
+    assert to_dense(product) == [
+        [sum((row[k] * dense_b[k][j] for k in range(a.n_cols)), Fraction(0))
+         for j in range(b.n_cols)] for row in dense_a]
+    assert product == SparseMatrix(product.n_rows, product.n_cols, product.entries())
+
+
+@pytest.mark.parametrize("m", [
+    koszul_flattening(gen_product(3), 1, 1),
+    catalecticant(gen_random(2, 4, 3, 9).scale(Fraction(1, 3)), 2),
+    from_dense([[0, Fraction(1, 2), -(2**70)], [3, 0, Fraction(5)]]),
+])
+def test_entry_agrees_with_entries_and_returns_plain_numbers(m):
+    stored = {(i, j): v for i, j, v in m.entries()}
+    for i in range(m.n_rows):
+        for j in range(m.n_cols):
+            value = m.entry(i, j)
+            assert type(value) in (int, Fraction)
+            assert value == stored.get((i, j), 0)
+    assert all(type(v) in (int, Fraction) for v in stored.values())
+
+
+def test_entry_on_a_matrix_too_large_for_int64_indices():
+    big = 2**64
+    m = SparseMatrix(big, 3, [(big - 1, 2, 7), (2**63, 0, Fraction(1, 2)), (0, 1, -1)])
+    assert m.entries() == [(0, 1, -1), (2**63, 0, Fraction(1, 2)), (big - 1, 2, 7)]
+    stored = {(i, j): v for i, j, v in m.entries()}
+    for i in (0, 1, 2**63 - 1, 2**63, big - 1):
+        for j in range(3):
+            value = m.entry(i, j)
+            assert type(value) in (int, Fraction)
+            assert value == stored.get((i, j), 0)
+    assert rank_exact(m).rank == 3
+
+
 def test_sparse_matrix_operations():
     a = from_dense([[1, 2], [3, 4]])
     b = SparseMatrix(2, 2, [(0, 1, 1), (1, 0, 1)], col_labels=["u", "v"])
     product = a.multiply(b)
     assert to_dense(product) == [[2, 1], [4, 3]]
     assert (product.row_labels, product.col_labels) == (None, ("u", "v"))
+    assert from_dense([[1, 2]]).multiply(from_dense([[2], [-1]])).nnz == 0  # cancels
 
 
 def test_deferred_labels_are_listed_and_checked_on_first_read():
@@ -427,11 +499,12 @@ def test_deferred_labels_are_listed_and_checked_on_first_read():
         calls.append(None)
         return ["a", "b"], iter(["c"])
 
-    m = SparseMatrix._wrap(2, 1, {(1, 0): 3}, labels)
+    m = SparseMatrix._wrap(2, 1, np.array([1]), np.array([0]), np.array([3]), labels)
     assert rank_exact(m).rank == 1 and rank_modular(m).rank == 1 and not calls
     assert (m.row_labels, m.col_labels) == (("a", "b"), ("c",))
     assert len(calls) == 1
-    repeated = SparseMatrix._wrap(2, 1, {}, lambda: (["a", "a"], ["c"]))
+    empty = np.array([], dtype=np.int64)
+    repeated = SparseMatrix._wrap(2, 1, empty, empty, empty, lambda: (["a", "a"], ["c"]))
     with pytest.raises(ValueError):
         repeated.col_labels
 
