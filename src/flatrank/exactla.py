@@ -22,13 +22,13 @@ rank can only undershoot, so the result is a certified lower bound that
 equals the true rank with overwhelming probability.
 
 Modulo a prime, a component with fill at least ``DENSE_FILL`` is scattered,
-its values reduced mod q, into a dense array and eliminated by a vectorized
-numpy kernel, whose echelon form also gives the kernel bases to lift; a
-sparser one is eliminated by the same Markowitz loop as the fraction-free
-engine, with row updates mod q, and is not lifted.  A dense array thus holds
-at most 8 * nnz / DENSE_FILL bytes, never n_rows * n_cols words of the
-declared shape, and the fraction-free engine groups the nonzeros by row, so
-memory follows nnz throughout.
+its values reduced mod q, into a dense array, ranked by a blocked numpy
+kernel of exact float64 products, and echelonized by its scalar step where
+kernel bases are to be lifted; a sparser one is eliminated by the same
+Markowitz loop as the fraction-free engine, with row updates mod q, and is
+not lifted.  A dense array thus holds at most 8 * nnz / DENSE_FILL bytes,
+never n_rows * n_cols words of the declared shape, and the fraction-free
+engine groups the nonzeros by row, so memory follows nnz throughout.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import groupby
 from math import comb, gcd, isqrt, lcm
 from operator import attrgetter, itemgetter
@@ -61,6 +62,11 @@ EXACT_COLUMN_LIMIT = 500
 # this share of its cells is nonzero and sparsely otherwise, so a dense
 # array never takes more than 8 * nnz / DENSE_FILL bytes.
 DENSE_FILL = 0.05
+
+# The dense F_q kernel eliminates PANEL columns at a time and updates CHUNK
+# rows at a time; _times_mod is exact while PANEL·PRIME_CEIL·2^16 < 2^53.
+PANEL = 32
+CHUNK = 64
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -428,11 +434,13 @@ def _eliminate(a: np.ndarray, rows: np.ndarray, r: int, c: int, q: int) -> None:
     a[rows, c:] = (a[rows, c:] - a[rows, c][:, None] * a[r, c:][None, :]) % q
 
 
-def _echelon_mod(a: np.ndarray, q: int) -> list[int]:
+def _echelon_mod(a: np.ndarray, q: int) -> tuple[list[int], list[int]]:
     """Bring a, entries in [0, q), to row echelon form over F_q in place,
-    each pivot scaled to 1; return the pivot columns."""
+    each pivot scaled to 1; return the pivot columns and, for each, the row
+    of the input that became its pivot row."""
     n_rows, n_cols = a.shape
     pivots = []
+    order = list(range(n_rows))
     for c in range(n_cols):
         r = len(pivots)
         if r == n_rows:
@@ -443,36 +451,95 @@ def _echelon_mod(a: np.ndarray, q: int) -> list[int]:
         p = r + int(nz[0])
         if p != r:
             a[[r, p], c:] = a[[p, r], c:]
+            order[r], order[p] = order[p], order[r]
         inv = pow(int(a[r, c]), -1, q)
         a[r, c:] = a[r, c:] * inv % q
         below = np.flatnonzero(a[r + 1:, c])
         if below.size:
             _eliminate(a, below + r + 1, r, c, q)
         pivots.append(c)
-    return pivots
+    return pivots, order[:len(pivots)]
+
+
+def _back_substitute(a: np.ndarray, pivots: list[int], q: int) -> None:
+    """Clear above each pivot of a's echelon form too, mod q, in place: the
+    reduced row echelon form."""
+    for i in range(len(pivots) - 1, 0, -1):
+        above = np.flatnonzero(a[:i, pivots[i]])
+        if above.size:
+            _eliminate(a, above, i, pivots[i], q)
+
+
+def _times_mod(y: np.ndarray, q: int) -> Callable[[np.ndarray], np.ndarray]:
+    """The map x -> x·y mod q for int64 x and y, entries in [0, q), x at
+    most PANEL columns wide.  It is exact: y is split once into limbs
+    y = lo + 2^16·hi, lo < 2^16 and hi < PRIME_CEIL / 2^16 < 2^15.5, so each
+    term of the float64 (BLAS) products x·lo and x·hi is an integer below
+    2^31.5·2^16 = 2^47.5, each partial sum of at most PANEL = 32 one below
+    2^52.5 < 2^53, which float64 holds exactly in any summation order, FMA
+    or not.  Both are reduced mod q in int64 and recombined."""
+    lo = (y & 0xFFFF).astype(np.float64)
+    hi = (y >> 16).astype(np.float64)
+
+    def times(x: np.ndarray) -> np.ndarray:
+        xf = x.astype(np.float64)
+        out = (xf @ hi).astype(np.int64)
+        out %= q
+        out <<= 16
+        out += (xf @ lo).astype(np.int64)
+        out %= q
+        return out
+    return times
 
 
 def _modular_rank_dense(a: np.ndarray, q: int) -> int:
+    """Rank over F_q of a, entries in [0, q); overwrites a.
+
+    Blocked right-looking elimination of the wider orientation: while the
+    trailing block is at least two panels wide, the scalar kernel
+    echelonizes a copy of its first PANEL columns, whose k pivot rows are
+    swapped to the top.  With S their k x k block on the pivot columns,
+    invertible, the rows below become the Schur complement
+    A22 - A21·S^-1·A12, by exact products (``_times_mod``).  The scalar
+    kernel ranks the last, narrower, trailing block in place."""
     if a.shape[0] > a.shape[1]:
         a = np.ascontiguousarray(a.T)
-    return len(_echelon_mod(a, q))
+    rank = c = 0
+    while a.shape[1] - c >= 2 * PANEL and rank < len(a):
+        t = a[rank:, c:]
+        c += PANEL
+        pivots, rows = _echelon_mod(t[:, :PANEL].copy(), q)
+        k = len(pivots)
+        rank += k
+        if k in (0, len(t)):
+            continue
+        top = np.zeros(len(t), dtype=bool)
+        top[rows] = True
+        into, out = np.flatnonzero(~top[:k]), np.flatnonzero(top[k:]) + k
+        t[np.r_[into, out]] = t[np.r_[out, into]]
+        s = np.hstack([t[:k, pivots], np.eye(k, dtype=np.int64)])
+        _back_substitute(s, _echelon_mod(s, q)[0], q)
+        w = _times_mod(s[:, k:], q)(t[k:, pivots])
+        times = _times_mod(t[:k, PANEL:], q)
+        for i in range(0, len(w), CHUNK):
+            block = t[k + i:k + i + CHUNK, PANEL:]
+            block -= times(w[i:i + CHUNK])
+            block %= q
+    return rank + len(_echelon_mod(a[rank:, c:], q)[0])
 
 
 def _kernel_mod(a: np.ndarray, q: int) -> np.ndarray:
     """A basis of the right kernel of a over F_q, one row per non-pivot
     column of its echelon form, equal to 1 there and 0 at the other
     non-pivot columns.  Overwrites a."""
-    pivots = _echelon_mod(a, q)
+    pivots = _echelon_mod(a, q)[0]
     is_pivot = set(pivots)
     free = [c for c in range(a.shape[1]) if c not in is_pivot]
     kernel = np.zeros((len(free), a.shape[1]), dtype=np.int64)
     if free:
-        # Clear above each pivot too: in the reduced form, the kernel vector
-        # of a free column is minus that column on the pivots.
-        for i in range(len(pivots) - 1, 0, -1):
-            above = np.flatnonzero(a[:i, pivots[i]])
-            if above.size:
-                _eliminate(a, above, i, pivots[i], q)
+        # In the reduced form, the kernel vector of a free column is minus
+        # that column on the pivots.
+        _back_substitute(a, pivots, q)
         kernel[range(len(free)), free] = 1
         kernel[:, pivots] = (-a[:len(pivots), free].T) % q
     return kernel
@@ -562,6 +629,12 @@ def _draw_prime(rng: random.Random, denominators: set[int]) -> int:
         q = random_prime(rng)
         if not any(den % q == 0 for den in denominators):
             return q
+
+
+@cache
+def _certificate_prime() -> int:
+    """The first prime drawn from CERTIFICATE_SEED, drawn once per process."""
+    return random_prime(random.Random(CERTIFICATE_SEED))
 
 
 def _denominators(m: SparseMatrix) -> set[int]:
@@ -663,10 +736,11 @@ def rank_exact(m: SparseMatrix) -> RankResult:
     """True rank over the rationals, summed over the connected components.
 
     A component with one row or one column has rank 1.  Any other is ranked
-    mod one prime, drawn from CERTIFICATE_SEED on first need: that rank is a
-    lower bound, and it is exact when it reaches the shape's bound or when a
-    kernel lifted from F_q (see ``_lifted_rank``) annihilates the component
-    exactly.  Fraction-free elimination ranks the components neither
+    mod one prime, the first drawn from CERTIFICATE_SEED that divides no
+    denominator of m (the first draw is made once per process): that rank
+    is a lower bound, and it is exact when it reaches the shape's bound or
+    when a kernel lifted from F_q (see ``_lifted_rank``) annihilates the
+    component exactly.  Fraction-free elimination ranks the components neither
     certifies, and every matrix too large to index in 64 bits.  Memory
     follows nnz, not the declared shape.
     """
@@ -679,7 +753,10 @@ def rank_exact(m: SparseMatrix) -> RankResult:
             rank += 1
             continue
         if q is None:
-            q = _draw_prime(random.Random(CERTIFICATE_SEED), _denominators(m))
+            q = _certificate_prime()
+            denominators = _denominators(m)
+            if any(den % q == 0 for den in denominators):
+                q = _draw_prime(random.Random(CERTIFICATE_SEED), denominators)
         rank += _component_rank(comp, q)
     return RankResult(rank, "exact_rational")
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from flatrank import exactla
 from flatrank.exactla import (
+    PANEL,
     PRIME_CEIL,
     PRIME_FLOOR,
     RankResult,
@@ -28,9 +29,12 @@ from flatrank.exactla import (
     _dense_mod,
     _integer_rows,
     _kernel_mod,
+    _markowitz_rank,
     _modular_rank_components,
     _modular_rank_dense,
+    _modular_update,
     _sparse_integer_rank,
+    _times_mod,
 )
 from flatrank.koszul import koszul_flattening
 from flatrank.symtensor import catalecticant, gen_power_sum_power, gen_product, gen_random
@@ -314,6 +318,7 @@ def test_rank_exact_draws_a_prime_only_for_components_that_need_one():
     thin = [(0, 0, 5), (1, 1, Fraction(1, 3)), (2, 2, 1), (2, 3, 2), (2, 4, 3),
             (3, 5, 4), (4, 5, 5), (5, 5, 6)]
     square = [(6, 6, 1), (6, 7, 2), (7, 6, 3), (7, 7, 4), (8, 8, 1), (8, 9, 1), (9, 9, 1)]
+    exactla._certificate_prime.cache_clear()
     with mock.patch.object(exactla, "random_prime", wraps=random_prime) as draw:
         assert rank_exact(SparseMatrix(10, 10, thin)).rank == 4
         assert draw.call_count == 0
@@ -324,6 +329,84 @@ def test_rank_exact_draws_a_prime_only_for_components_that_need_one():
         redrawn = from_dense([[Fraction(1, CERTIFICATE_PRIME), 1], [1, 1]])
         assert rank_exact(redrawn).rank == 2
         assert draw.call_count == 3
+
+
+def test_rank_exact_draws_its_certificate_prime_once_per_process():
+    exactla._certificate_prime.cache_clear()
+    m = from_dense([[1, 2, 3], [4, 5, 6], [7, 8, 10]])
+    with mock.patch.object(exactla, "random_prime", wraps=random_prime) as draw, \
+            mock.patch.object(exactla, "_component_rank",
+                              wraps=exactla._component_rank) as certify:
+        for _ in range(5):
+            assert rank_exact(m).rank == 3
+    assert draw.call_count == 1
+    assert {call.args[1] for call in certify.call_args_list} == {CERTIFICATE_PRIME}
+    assert CERTIFICATE_PRIME == 2964560849
+
+
+def test_times_mod_is_exact_at_its_bound():
+    # Both limbs are below 2^16, so every float64 partial sum of a product
+    # PANEL deep stays an integer below 2^53.
+    assert (PRIME_CEIL - 1) >> 16 < 2**16 - 1
+    assert PANEL * (PRIME_CEIL - 1) * (2**16 - 1) < 2**53
+    q = 3037000493
+    assert is_prime(q) and q <= PRIME_CEIL
+    rng = np.random.default_rng(0)
+    for x, y in [(np.full((3, PANEL), q - 1), np.full((PANEL, 70), q - 1)),
+                 (rng.integers(0, q, (5, PANEL)), rng.integers(0, q, (PANEL, 9)))]:
+        expected = x.astype(object) @ y.astype(object) % q
+        assert (_times_mod(y, q)(x) == expected).all()
+
+
+@st.composite
+def panel_matrices(draw):
+    """(a, q): a wider or taller than PANEL with entries in [0, q), a product
+    B·C of planted inner size, optionally with zero leading panels, repeated
+    columns inside a panel (fewer pivots than columns), leading rows zeroed on
+    the first panel (pivot rows below non-pivot rows), or every entry q - 1,
+    the largest limbs, sometimes but for a random diagonal."""
+    q = draw(st.sampled_from([5, 101, 2147483659, 3037000493]))
+    n_rows, n_cols = draw(st.integers(1, 64)), draw(st.integers(PANEL + 1, 4 * PANEL + 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()) and q == 3037000493:
+        a = np.full((n_rows, n_cols), q - 1)
+        if draw(st.booleans()):
+            np.fill_diagonal(a, rng.integers(0, q, n_rows))
+    else:
+        inner = draw(st.integers(1, n_rows + 2))
+        # Small B keeps the int64 product exact: 8 * 66 * q < 2^63.
+        a = rng.integers(0, min(q, 8), (n_rows, inner)) @ rng.integers(0, q, (inner, n_cols)) % q
+        a[:, :draw(st.sampled_from([0, 0, 0, PANEL // 2, PANEL, PANEL + 5]))] = 0
+        copies = draw(st.lists(st.tuples(st.integers(0, PANEL - 1), st.integers(0, PANEL - 1)),
+                               max_size=12))
+        for src, dst in copies:
+            a[:, dst] = a[:, src]
+        a[:draw(st.integers(0, n_rows)), :PANEL] = 0
+    return (a.T.copy() if draw(st.booleans()) else a), q
+
+
+@settings(max_examples=100, deadline=None)
+@given(panel_matrices(), st.sampled_from([5, exactla.CHUNK]))
+def test_blocked_dense_kernel_matches_the_sparse_oracle(case, chunk):
+    # A small chunk splits the trailing update of these small matrices too.
+    a, q = case
+    rows = [{j: v for j, v in enumerate(row) if v} for row in a.tolist()]
+    with mock.patch.object(exactla, "CHUNK", chunk):
+        assert _modular_rank_dense(a.copy(), q) == _markowitz_rank(rows, _modular_update(q))
+
+
+@pytest.mark.parametrize("shape, blocked", [
+    ((20, PANEL), False), ((PANEL, 20), False), ((PANEL, PANEL), False), ((1, 1), False),
+    ((PANEL + 1, 2 * PANEL - 1), False), ((2 * PANEL - 1, PANEL + 1), False),
+    ((PANEL + 1, 2 * PANEL), True), ((2 * PANEL, PANEL + 1), True),
+])
+def test_dense_kernel_multiplies_only_from_two_panels_wide(shape, blocked):
+    # A matrix no wider than PANEL, in either orientation, never reaches the
+    # product helper; nor does one whose trailing block is under one panel.
+    a = np.random.default_rng(1).integers(0, 101, shape)
+    with mock.patch.object(exactla, "_times_mod", wraps=_times_mod) as times:
+        assert _modular_rank_dense(a, 101) == min(shape)
+    assert times.called == blocked
 
 
 @settings(max_examples=60, deadline=None)
