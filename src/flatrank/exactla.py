@@ -22,13 +22,18 @@ rank can only undershoot, so the result is a certified lower bound that
 equals the true rank with overwhelming probability.
 
 Modulo a prime, a component with fill at least ``DENSE_FILL`` is scattered,
-its values reduced mod q, into a dense array, ranked by a blocked numpy
-kernel of exact float64 products, and echelonized by its scalar step where
-kernel bases are to be lifted; a sparser one is eliminated by the same
-Markowitz loop as the fraction-free engine, with row updates mod q, and is
-not lifted.  A dense array thus holds at most 8 * nnz / DENSE_FILL bytes,
-never n_rows * n_cols words of the declared shape, and the fraction-free
-engine groups the nonzeros by row, so memory follows nnz throughout.
+its values reduced mod q, into a dense array; a sparser one is eliminated by
+the same Markowitz loop as the fraction-free engine, with row updates mod q,
+and is not lifted.  Dense components narrower than two panels are grouped by
+shape and laid one under another as a (B, m, n) stack, reduced in one pass
+and ranked by one column loop over all slices at once.  Its row update
+piv·row - f·prow mod q needs no inverse and stays in int64, as
+(q-1)^2 < 2^63.  A wider component is ranked by a blocked numpy kernel of
+exact float64 products, and echelonized by its scalar step where kernel
+bases are to be lifted.  A dense array or stack thus holds at most
+8 * nnz / DENSE_FILL bytes, never n_rows * n_cols words of the declared
+shape, and the fraction-free engine groups the nonzeros by row, so memory
+follows nnz throughout.
 """
 
 from __future__ import annotations
@@ -492,16 +497,56 @@ def _times_mod(y: np.ndarray, q: int) -> Callable[[np.ndarray], np.ndarray]:
     return times
 
 
-def _modular_rank_dense(a: np.ndarray, q: int) -> int:
-    """Rank over F_q of a, entries in [0, q); overwrites a.
+def _stacked_ranks(a: np.ndarray, q: int) -> np.ndarray:
+    """The rank over F_q of each slice of the (B, m, n) stack a, entries in
+    [0, q); overwrites a.
 
-    Blocked right-looking elimination of the wider orientation: while the
-    trailing block is at least two panels wide, the scalar kernel
-    echelonizes a copy of its first PANEL columns, whose k pivot rows are
-    swapped to the top.  With S their k x k block on the pivot columns,
-    invertible, the rows below become the Schur complement
-    A22 - A21·S^-1·A12, by exact products (``_times_mod``).  The scalar
-    kernel ranks the last, narrower, trailing block in place."""
+    One loop over the columns of the tall orientation eliminates every
+    slice at once.  Each slice's pivot is its first row at or below its
+    rank count with a nonzero in the column; it is swapped up to that
+    count, and each row r below becomes piv·r - r[c]·prow mod q.  The
+    update needs no inverse and stays in int64: both products are at most
+    (q-1)^2 < 2^63.  Rows at or above the pivot are only scaled by piv,
+    which keeps their span."""
+    if a.shape[1] < a.shape[2]:
+        a = np.ascontiguousarray(a.transpose(0, 2, 1))
+    slices, lines = np.arange(len(a)), np.arange(a.shape[1])
+    ranks = np.zeros(len(a), dtype=np.int64)
+    for c in range(a.shape[2]):
+        col = a[:, :, c]
+        live = (col != 0) & (lines >= ranks[:, None])
+        p = live.argmax(axis=1)
+        has = live[slices, p]
+        s, r, p = slices[has], ranks[has], p[has]
+        a[s, r, c:], a[s, p, c:] = a[s, p, c:], a[s, r, c:]
+        piv = np.where(has, col[slices, ranks], 1)
+        f = np.where(lines > ranks[:, None], col, 0)
+        prow = a[slices, ranks, c + 1:]
+        t = a[:, :, c + 1:]
+        t *= piv[:, None, None]
+        t -= f[:, :, None] * prow[:, None, :]
+        t %= q
+        ranks += has
+    return ranks
+
+
+def _modular_rank_dense(a: np.ndarray, q: int) -> int:
+    """Total rank over F_q of a, a matrix or a (B, m, n) stack of them,
+    entries in [0, q); overwrites a.
+
+    A stack narrower than two panels is ranked by ``_stacked_ranks``, all
+    slices at once.  A wider one is ranked slice by slice by blocked
+    right-looking elimination of the wider orientation: while the trailing
+    block is at least two panels wide, the scalar kernel echelonizes a copy
+    of its first PANEL columns, whose k pivot rows are swapped to the top.
+    With S their k x k block on the pivot columns, invertible, the rows
+    below become the Schur complement A22 - A21·S^-1·A12, by exact products
+    (``_times_mod``).  The scalar kernel ranks the last, narrower, trailing
+    block in place."""
+    if max(a.shape[-2:]) < 2 * PANEL:
+        return int(_stacked_ranks(a[None] if a.ndim == 2 else a, q).sum())
+    if a.ndim == 3:
+        return sum(_modular_rank_dense(s, q) for s in a)
     if a.shape[0] > a.shape[1]:
         a = np.ascontiguousarray(a.T)
     rank = c = 0
@@ -606,13 +651,21 @@ def _modular_rank_components(components: Sequence[SparseMatrix], q: int) -> int:
     """Rank mod q of the matrix ``components`` split, no denominator 0 mod q.
 
     A component whose fill reaches DENSE_FILL goes to the dense kernel; a
-    sparser one is eliminated sparsely over F_q.
+    sparser one is eliminated sparsely over F_q.  Dense components narrower
+    than two panels are grouped by shape, and each group is laid out one
+    component under another, reduced and ranked as one stack; a stack takes
+    the cells of its components, so at most 8 * nnz / DENSE_FILL bytes.
     """
     rank = 0
     update = _modular_update(q)
+    stacks: dict[tuple[int, int], list[SparseMatrix]] = {}
     for comp in components:
+        shape = comp.n_rows, comp.n_cols
         if comp.nnz >= DENSE_FILL * comp.n_rows * comp.n_cols:
-            rank += _modular_rank_dense(_dense_mod(comp, q), q)
+            if max(shape) < 2 * PANEL:
+                stacks.setdefault(shape, []).append(comp)
+            else:
+                rank += _modular_rank_dense(_dense_mod(comp, q), q)
             continue
         rows: dict[int, dict[int, int]] = {}
         residues = _residues(comp._values, q).tolist()
@@ -620,6 +673,15 @@ def _modular_rank_components(components: Sequence[SparseMatrix], q: int) -> int:
             if r:
                 rows.setdefault(i, {})[j] = r
         rank += _markowitz_rank(list(rows.values()), update)
+    for (n_rows, n_cols), group in stacks.items():
+        slots = np.repeat(np.arange(len(group)) * n_rows, [comp.nnz for comp in group])
+        stack = SparseMatrix._wrap(
+            len(group) * n_rows, n_cols,
+            np.concatenate([comp._rows for comp in group]) + slots,
+            np.concatenate([comp._cols for comp in group]),
+            np.concatenate([comp._values for comp in group]))
+        rank += _modular_rank_dense(
+            _dense_mod(stack, q).reshape(len(group), n_rows, n_cols), q)
     return rank
 
 

@@ -7,11 +7,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flatrank import exactla
 from flatrank.exactla import (
+    EXACT_COLUMN_LIMIT,
     PANEL,
     PRIME_CEIL,
     PRIME_FLOOR,
@@ -34,6 +35,7 @@ from flatrank.exactla import (
     _modular_rank_dense,
     _modular_update,
     _sparse_integer_rank,
+    _stacked_ranks,
     _times_mod,
 )
 from flatrank.koszul import koszul_flattening
@@ -407,6 +409,66 @@ def test_dense_kernel_multiplies_only_from_two_panels_wide(shape, blocked):
     with mock.patch.object(exactla, "_times_mod", wraps=_times_mod) as times:
         assert _modular_rank_dense(a, 101) == min(shape)
     assert times.called == blocked
+
+
+@st.composite
+def slice_stacks(draw):
+    """(a, q): a (B, m, n) stack of one shape under two panels, tall, wide,
+    1 x k or k x 1, entries in [0, q).  Each slice is drawn on its own: a
+    product B·C of random inner size (so ranks mix within a stack), all
+    zero, full rank on its leading square block with its pivots there
+    (full rank reached early), or every entry q - 1."""
+    q = draw(st.sampled_from([5, 101, 2147483659, 3037000493]))
+    side = st.one_of(st.just(1), st.integers(1, 8), st.integers(9, 2 * PANEL - 1))
+    m, n = draw(side), draw(side)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    slices = []
+    for kind in draw(st.lists(st.sampled_from(["planted", "zero", "early", "max"]),
+                              min_size=1, max_size=6)):
+        if kind == "planted":
+            inner = draw(st.integers(1, min(m, n) + 1))
+            # Small B keeps the int64 product exact: 8 * 64 * q < 2^63.
+            a = rng.integers(0, min(q, 8), (m, inner)) @ rng.integers(0, q, (inner, n)) % q
+        elif kind == "zero":
+            a = np.zeros((m, n), dtype=np.int64)
+        elif kind == "early":
+            a = rng.integers(0, q, (m, n))
+            k = min(m, n)
+            a[:k, :k] = np.triu(a[:k, :k], 1) + np.diag(rng.integers(1, q, k))
+            a[k:, :k] = 0
+        else:
+            a = np.full((m, n), q - 1)
+        slices.append(a)
+    return np.stack(slices).astype(np.int64), q
+
+
+@settings(max_examples=150, deadline=None)
+@given(slice_stacks())
+@example((np.full((3, 1, 5), 3037000492), 3037000493))
+@example((np.full((2, 2 * PANEL - 1, 7), 3037000492), 3037000493))
+@example((np.random.default_rng(3).integers(0, 5, (3, 2 * PANEL + 3, 6)), 5))
+def test_stacked_ranks_match_the_sparse_oracle_slice_by_slice(case):
+    # The inverse-free update multiplies two residues, at most (q-1)^2.  A
+    # stack two panels tall goes through the blocked kernel slice by slice.
+    assert (PRIME_CEIL - 1) ** 2 < 2**63
+    a, q = case
+    expected = [_markowitz_rank([{j: v for j, v in enumerate(row) if v} for row in s.tolist()],
+                                _modular_update(q)) for s in a]
+    assert _stacked_ranks(a.copy(), q).tolist() == expected
+    assert _modular_rank_dense(a.copy(), q) == sum(expected)
+
+
+def test_rank_modular_reduces_and_ranks_each_component_shape_once_per_prime():
+    m = koszul_flattening(gen_product(7), 3, 3)
+    assert m.n_cols > EXACT_COLUMN_LIMIT
+    components = _components(m)
+    shapes = {(c.n_rows, c.n_cols) for c in components}
+    with mock.patch.object(exactla, "_dense_mod", wraps=_dense_mod) as reduce, \
+            mock.patch.object(exactla, "_modular_rank_dense", wraps=_modular_rank_dense) as rank:
+        assert rank_modular(m, 2, 0).rank == 832
+    assert len(components) > 2 * len(shapes)
+    assert reduce.call_count <= 2 * len(shapes)
+    assert rank.call_count <= 2 * len(shapes)
 
 
 @settings(max_examples=60, deadline=None)
