@@ -1,21 +1,22 @@
 """Exact sparse linear algebra: labeled sparse matrices over the rationals and
 deterministic rank computation.
 
-A matrix keeps its nonzeros as row-major coordinate arrays.  Both rank
-engines split it once, by array operations, into the connected components of
-its bipartite row/column graph, each compacted to the rows and columns it
-touches, and sum the component ranks.
+A matrix keeps its nonzeros as row-major coordinate arrays of integer
+numerators over one denominator ``_den``.  Its rank over the rationals, or
+mod any prime q not dividing ``_den``, is the rank of the numerators, so no
+engine splits a fraction.  Both engines split the matrix once, by array
+operations, into the connected components of its bipartite row/column graph,
+each compacted to the rows and columns it touches, and sum their ranks.
 
 ``rank_exact`` returns the true rank over the rationals, by certificate where
 it can.  A component with one row or one column has rank 1.  Any other is
 ranked modulo one word-sized prime drawn from a fixed seed, a lower bound on
 its rank.  The rank is exact when that bound reaches the component's smaller
 side, or when a kernel basis read off the F_q echelon form, lifted to the
-rationals by rational reconstruction, annihilates the component exactly: an
+rationals by rational reconstruction, annihilates the numerators exactly: an
 upper bound that meets it.  A component neither certifies goes to
-fraction-free integer elimination (denominators are cleared row by row,
-updates are cross-multiplications with per-row content reduction), which is
-also the oracle the tests hold the certificates to.
+fraction-free elimination of its numerators (cross-multiplied updates with
+per-row content reduction), also the oracle the tests hold the certificates to.
 
 ``rank_modular`` ranks the matrix modulo random word-sized primes; a modular
 rank can only undershoot, so the result is a certified lower bound that
@@ -23,28 +24,29 @@ equals the true rank with overwhelming probability.
 
 Modulo a prime, a component with fill at least ``DENSE_FILL`` is scattered,
 its values reduced mod q, into a dense array; a sparser one is eliminated by
-the same Markowitz loop as the fraction-free engine, with row updates mod q,
-and is not lifted.  Dense components narrower than two panels are grouped by
-shape and laid one under another as a (B, m, n) stack, reduced in one pass
-and ranked by one column loop over all slices at once.  Its row update
-piv·row - f·prow mod q needs no inverse and stays in int64, as
-(q-1)^2 < 2^63.  A wider component is ranked by a blocked numpy kernel of
-exact float64 products, and echelonized by its scalar step where kernel
-bases are to be lifted.  A dense array or stack thus holds at most
-8 * nnz / DENSE_FILL bytes, never n_rows * n_cols words of the declared
-shape, and the fraction-free engine groups the nonzeros by row, so memory
-follows nnz throughout.
+the same Markowitz loop as the fraction-free engine, on its numerators mod q
+(the unit 1/_den does not change a rank), and is not lifted.  Dense
+components narrower than two panels are grouped by shape and laid one under
+another as a (B, m, n) stack, reduced in one pass and ranked by one column
+loop over all slices at once.  Its row update piv·row - f·prow mod q needs
+no inverse and stays in int64, as (q-1)^2 < 2^63.  A wider component is
+ranked by a blocked numpy kernel of exact float64 products, and echelonized
+by its scalar step where kernel bases are to be lifted.  A dense array or
+stack thus holds at most 8 * nnz / DENSE_FILL bytes, never n_rows * n_cols
+words of the declared shape, and the fraction-free engine groups the
+nonzeros by row, so memory follows nnz throughout.
 """
 
 from __future__ import annotations
 
+import numbers
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import groupby
 from math import comb, gcd, isqrt, lcm
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -116,6 +118,17 @@ def random_prime(rng: random.Random) -> int:
             return candidate
 
 
+def _exact(value) -> int | Fraction:
+    """``value`` as an int or a Fraction; TypeError unless it is rational."""
+    if type(value) in (int, Fraction):
+        return value
+    if isinstance(value, float):
+        raise TypeError("exact matrices and forms do not accept floats")
+    if not isinstance(value, numbers.Rational):
+        raise TypeError(f"not a rational number: {value!r}")
+    return int(value) if isinstance(value, numbers.Integral) else Fraction(value)
+
+
 def _int64_shape(n_rows: int, n_cols: int) -> tuple[int, int]:
     """(n_rows, n_cols), or ValueError when an index would not fit in int64."""
     if max(n_rows, n_cols) >= 2**63:
@@ -128,10 +141,10 @@ class SparseMatrix:
 
     The nonzeros are stored as three coordinate arrays in row-major order:
     rows and columns (int64, or Python ints in an object array when a side
-    is 2^63 or more) and values (int64 when a builder computed them in
-    machine words, otherwise the ints and Fractions as they come in an
-    object array).  The constructor takes ints or Fractions, stores any
-    other rational number as a Fraction, refuses floats and drops zeros.
+    is 2^63 or more) and integer numerators (int64 where they fit, Python
+    ints in an object array otherwise) over one denominator ``_den``.  The
+    constructor takes rational numbers, refuses floats and other inexact
+    values, drops zeros and clears denominators once, ``_den`` their lcm.
     It checks every entry it is given: a position inside the shape, listed
     at most once whatever its value, and an exact value.  Matrices built
     inside the package (builders, products, components) come finished
@@ -141,7 +154,7 @@ class SparseMatrix:
     checked the first time ``row_labels`` or ``col_labels`` is read.
     """
 
-    __slots__ = ("n_rows", "n_cols", "_rows", "_cols", "_values", "_labels")
+    __slots__ = ("n_rows", "n_cols", "_rows", "_cols", "_values", "_den", "_labels")
 
     def __init__(
         self,
@@ -159,11 +172,7 @@ class SparseMatrix:
         for i, j, value in entries:
             if not (0 <= i < n_rows and 0 <= j < n_cols):
                 raise ValueError(f"entry ({i}, {j}) outside a {n_rows}x{n_cols} matrix")
-            kind = type(value)
-            if kind is not int and kind is not Fraction:
-                if isinstance(value, float):
-                    raise TypeError("exact matrices do not accept floats")
-                value = Fraction(value)
+            value = _exact(value)
             if (i, j) in seen:
                 raise ValueError(f"duplicate entry at ({i}, {j})")
             seen.add((i, j))
@@ -172,7 +181,12 @@ class SparseMatrix:
         index = np.int64 if max(n_rows, n_cols) < 2**63 else object
         rows, cols, values = zip(*sorted(kept)) if kept else ((), (), ())
         self._rows, self._cols = np.array(rows, dtype=index), np.array(cols, dtype=index)
-        self._values = np.array(values, dtype=object)
+        self._den = den = lcm(*(v.denominator for v in values))
+        numerators = [v.numerator * (den // v.denominator) for v in values]
+        try:
+            self._values = np.array(numerators, dtype=np.int64)
+        except OverflowError:
+            self._values = np.array(numerators, dtype=object)
         self._labels = self._checked(row_labels, col_labels)
 
     def _checked(self, row_labels, col_labels) -> tuple:
@@ -192,13 +206,16 @@ class SparseMatrix:
 
     @classmethod
     def _wrap(cls, n_rows: int, n_cols: int, rows: np.ndarray, cols: np.ndarray,
-              values: np.ndarray, labels: Callable[[], tuple] | None = None) -> "SparseMatrix":
+              values: np.ndarray, labels: Callable[[], tuple] | None = None,
+              den: int = 1) -> "SparseMatrix":
         """Wrap finished coordinate arrays without copying or checking them:
         positions inside the shape, row-major sorted and none twice; values
-        nonzero, int64 or ints and Fractions in an object array.
+        nonzero integer numerators, int64 or Python ints in an object array,
+        over the positive denominator ``den``.
         The (row, column) labels are ``labels()``, called on first read."""
         m = cls.__new__(cls)
         m.n_rows, m.n_cols, m._rows, m._cols, m._values = n_rows, n_cols, rows, cols, values
+        m._den = den
         m._labels = (None, None) if labels is None else labels
         return m
 
@@ -224,10 +241,17 @@ class SparseMatrix:
             raise IndexError((i, j))
         start, end = np.searchsorted(self._rows, [i, i + 1])
         at = start + np.flatnonzero(self._cols[start:end] == j)
-        return self._values[at].tolist()[0] if at.size else Fraction(0)
+        return self._divided(self._values[at].tolist() or [0])[0]
 
     def entries(self) -> list[tuple[int, int, object]]:
-        return list(zip(self._rows.tolist(), self._cols.tolist(), self._values.tolist()))
+        values = self._divided(self._values.tolist())
+        return list(zip(self._rows.tolist(), self._cols.tolist(), values))
+
+    def _divided(self, numerators: list[int]) -> list:
+        """Each numerator over ``_den``: an int when integral, else a Fraction."""
+        den = self._den
+        return numerators if den == 1 else [
+            Fraction(v, den) if v % den else v // den for v in numerators]
 
     def is_zero(self) -> bool:
         return not self._values.size
@@ -257,8 +281,9 @@ class SparseMatrix:
         sums = np.add.reduceat(terms, runs) if runs.size else terms
         kept = np.flatnonzero(sums)
         at = runs[kept]
-        return SparseMatrix._wrap(self.n_rows, other.n_cols, rows[at], cols[at],
-                                  sums[kept], lambda: (self.row_labels, other.col_labels))
+        return SparseMatrix._wrap(self.n_rows, other.n_cols, rows[at], cols[at], sums[kept],
+                                  lambda: (self.row_labels, other.col_labels),
+                                  self._den * other._den)
 
     def to_coordinate_text(self) -> str:
         """Coordinate text dump (1-based indices, one 'row col value' line per entry)."""
@@ -316,14 +341,11 @@ class RankResult:
 
 
 def _integer_rows(m: SparseMatrix) -> list[dict[int, int]]:
-    """Nonzero rows in row order as column->integer dicts, denominators
-    cleared per row.  Memory follows nnz, not the declared row count."""
-    out = []
-    for _, row in groupby(m.entries(), itemgetter(0)):
-        row = list(row)
-        scale = lcm(*(v.denominator for _, _, v in row))
-        out.append({j: int(v * scale) for _, j, v in row})
-    return out
+    """m's nonzero rows in row order as column->numerator dicts: one common
+    denominator divides out of every row, so they have m's rank.  Memory
+    follows nnz, not the declared row count."""
+    entries = zip(m._rows.tolist(), m._cols.tolist(), m._values.tolist())
+    return [{j: v for _, j, v in row} for _, row in groupby(entries, itemgetter(0))]
 
 
 RowUpdate = Callable[[dict[int, int], dict[int, int], int], dict[int, int]]
@@ -409,27 +431,14 @@ def _sparse_integer_rank(rows: list[dict[int, int]]) -> int:
     return _markowitz_rank(rows, _exact_update)
 
 
-def _residues(values: np.ndarray, q: int) -> np.ndarray:
-    """Each stored value (int64, or an int or a Fraction) mod q, as int64;
-    ValueError when a denominator vanishes mod q.  One inverse is computed
-    per distinct denominator."""
-    if values.dtype != object or Fraction not in set(map(type, values)):
-        return (values % q).astype(np.int64)
-    num = np.array(list(map(attrgetter("numerator"), values)), dtype=object)
-    den = np.array(list(map(attrgetter("denominator"), values)), dtype=object)
-    out = num % q
-    split = np.flatnonzero(den != 1)
-    if split.size:
-        dens, which = np.unique(den[split], return_inverse=True)
-        inverses = np.array([pow(int(x), -1, q) for x in dens], dtype=object)
-        out[split] = out[split] * inverses[which] % q
-    return out.astype(np.int64)
-
-
 def _dense_mod(m: SparseMatrix, q: int) -> np.ndarray:
-    """Reduce a rational matrix mod q; ValueError when a denominator vanishes."""
+    """m mod q as a dense int64 array: each numerator mod q, times the
+    inverse of ``_den`` mod q; ValueError when q divides ``_den``."""
+    residues = m._values % q
+    if m._den != 1:
+        residues = residues * pow(m._den, -1, q) % q
     a = np.zeros((m.n_rows, m.n_cols), dtype=np.int64)
-    a[m._rows, m._cols] = _residues(m._values, q)
+    a[m._rows, m._cols] = residues
     return a
 
 
@@ -643,12 +652,12 @@ def _components(m: SparseMatrix) -> list[SparseMatrix]:
     local_rows, local_cols, values = row_pos[ri][order], col_pos[cj][order], m._values[order]
     n_rows = np.bincount(row_comp, minlength=labels.size).tolist()
     n_cols = np.bincount(col_comp, minlength=labels.size).tolist()
-    return [SparseMatrix._wrap(r, c, local_rows[a:b], local_cols[a:b], values[a:b])
+    return [SparseMatrix._wrap(r, c, local_rows[a:b], local_cols[a:b], values[a:b], den=m._den)
             for r, c, a, b in zip(n_rows, n_cols, [0, *ends], ends)]
 
 
 def _modular_rank_components(components: Sequence[SparseMatrix], q: int) -> int:
-    """Rank mod q of the matrix ``components`` split, no denominator 0 mod q.
+    """Rank mod q of the matrix ``components`` split; q divides no ``_den``.
 
     A component whose fill reaches DENSE_FILL goes to the dense kernel; a
     sparser one is eliminated sparsely over F_q.  Dense components narrower
@@ -668,7 +677,7 @@ def _modular_rank_components(components: Sequence[SparseMatrix], q: int) -> int:
                 rank += _modular_rank_dense(_dense_mod(comp, q), q)
             continue
         rows: dict[int, dict[int, int]] = {}
-        residues = _residues(comp._values, q).tolist()
+        residues = (comp._values % q).tolist()
         for i, j, r in zip(comp._rows.tolist(), comp._cols.tolist(), residues):
             if r:
                 rows.setdefault(i, {})[j] = r
@@ -679,17 +688,17 @@ def _modular_rank_components(components: Sequence[SparseMatrix], q: int) -> int:
             len(group) * n_rows, n_cols,
             np.concatenate([comp._rows for comp in group]) + slots,
             np.concatenate([comp._cols for comp in group]),
-            np.concatenate([comp._values for comp in group]))
+            np.concatenate([comp._values for comp in group]), den=group[0]._den)
         rank += _modular_rank_dense(
             _dense_mod(stack, q).reshape(len(group), n_rows, n_cols), q)
     return rank
 
 
-def _draw_prime(rng: random.Random, denominators: set[int]) -> int:
-    """The next prime from ``rng`` that divides none of ``denominators``."""
+def _draw_prime(rng: random.Random, den: int) -> int:
+    """The next prime from ``rng`` that does not divide ``den``."""
     while True:
         q = random_prime(rng)
-        if not any(den % q == 0 for den in denominators):
+        if den % q:
             return q
 
 
@@ -697,11 +706,6 @@ def _draw_prime(rng: random.Random, denominators: set[int]) -> int:
 def _certificate_prime() -> int:
     """The first prime drawn from CERTIFICATE_SEED, drawn once per process."""
     return random_prime(random.Random(CERTIFICATE_SEED))
-
-
-def _denominators(m: SparseMatrix) -> set[int]:
-    values = m._values.tolist() if m._values.dtype == object else ()
-    return {v.denominator for v in values} - {1}
 
 
 def rank_modular(m: SparseMatrix, prime_count: int = 2, seed: int = 0) -> RankResult:
@@ -714,9 +718,8 @@ def rank_modular(m: SparseMatrix, prime_count: int = 2, seed: int = 0) -> RankRe
         raise ValueError("prime_count must be at least 1")
     _int64_shape(m.n_rows, m.n_cols)
     components = _components(m)
-    denominators = _denominators(m)
     rng = random.Random(seed)
-    primes = [_draw_prime(rng, denominators) for _ in range(prime_count)]
+    primes = [_draw_prime(rng, m._den) for _ in range(prime_count)]
     best = max(_modular_rank_components(components, q) for q in primes)
     return RankResult(best, "modular", tuple(primes))
 
@@ -738,15 +741,15 @@ def _rational_reconstruction(x: int, q: int) -> Fraction | None:
 def _lifted_rank(m: SparseMatrix, q: int) -> int | None:
     """Rank of m proven from the dense F_q echelon form of m or its
     transpose, whichever is taller, or None when the proof does not close;
-    no denominator of m may vanish mod q.
+    q must not divide ``_den``.
 
     The rank r mod q is a lower bound, and the shape closes it when r is the
     smaller side.  Otherwise the kernel basis mod q, on the side with the
     smaller nullity, has min side - r vectors, each 1 at its own free
     coordinate and 0 at the others, so their lifts are independent over Q.
     Each entry is rationally reconstructed, each vector cleared of
-    denominators, and its product with m checked to be zero exactly: then
-    the nullity is at least min side - r, so the rank is r.
+    denominators, and its product with m's numerators checked to be zero
+    exactly: then the nullity is at least min side - r, so the rank is r.
     """
     tall = m.n_rows >= m.n_cols
     a = _dense_mod(m, q)
@@ -758,7 +761,7 @@ def _lifted_rank(m: SparseMatrix, q: int) -> int | None:
     # is nonzero only at its free coordinate and the pivots, so the check
     # reads only those groups.
     index, other = (m._cols, m._rows) if tall else (m._rows, m._cols)
-    groups: list[list[tuple[int, object]]] = [[] for _ in range(side)]
+    groups: list[list[tuple[int, int]]] = [[] for _ in range(side)]
     for c, i, v in zip(index.tolist(), other.tolist(), m._values.tolist()):
         groups[c].append((i, v))
     for vector in kernel:
@@ -769,7 +772,7 @@ def _lifted_rank(m: SparseMatrix, q: int) -> int | None:
                 return None
             lifted[c] = value
         scale = lcm(*(v.denominator for v in lifted.values()))
-        residual: dict[int, object] = {}
+        residual: dict[int, int] = {}
         for c, value in lifted.items():
             k = int(value * scale)
             for i, v in groups[c]:
@@ -798,11 +801,11 @@ def rank_exact(m: SparseMatrix) -> RankResult:
     """True rank over the rationals, summed over the connected components.
 
     A component with one row or one column has rank 1.  Any other is ranked
-    mod one prime, the first drawn from CERTIFICATE_SEED that divides no
-    denominator of m (the first draw is made once per process): that rank
-    is a lower bound, and it is exact when it reaches the shape's bound or
-    when a kernel lifted from F_q (see ``_lifted_rank``) annihilates the
-    component exactly.  Fraction-free elimination ranks the components neither
+    mod one prime, the first drawn from CERTIFICATE_SEED that does not divide
+    m's denominator (the first draw is made once per process): that rank is
+    a lower bound, and it is exact when it reaches the shape's bound or when
+    a kernel lifted from F_q (see ``_lifted_rank``) annihilates the component
+    exactly.  Fraction-free elimination ranks the components neither
     certifies, and every matrix too large to index in 64 bits.  Memory
     follows nnz, not the declared shape.
     """
@@ -816,9 +819,8 @@ def rank_exact(m: SparseMatrix) -> RankResult:
             continue
         if q is None:
             q = _certificate_prime()
-            denominators = _denominators(m)
-            if any(den % q == 0 for den in denominators):
-                q = _draw_prime(random.Random(CERTIFICATE_SEED), denominators)
+            if m._den % q == 0:
+                q = _draw_prime(random.Random(CERTIFICATE_SEED), m._den)
         rank += _component_rank(comp, q)
     return RankResult(rank, "exact_rational")
 

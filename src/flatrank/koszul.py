@@ -67,7 +67,7 @@ def _insertions(n_vars: int, p: int) -> np.ndarray:
     return out.transpose(2, 0, 1)
 
 
-def _exterior_pattern(group, m, degree: int, factor, n_vars: int, p: int):
+def _exterior_pattern(group, m, factor, n_vars: int, p: int):
     """Pattern (row, col, source, factor) of the exterior derivative applied
     to the tensors x^m[s] (x) w, over all p-wedges w, with column
     group[s] * C(n, p) + index(w) and row index(m - e_i) * C(n, p+1) +
@@ -76,7 +76,7 @@ def _exterior_pattern(group, m, degree: int, factor, n_vars: int, p: int):
     scaled = _times(factor[source], m[source, i])
     lower = m[source]
     lower[np.arange(source.size), i] -= 1
-    lower_rank = _glex_rank(lower, degree - 1)
+    lower_rank = _glex_rank(lower)
     small, big, sign = _insertions(n_vars, p)
     width = small.shape[1]
     pick = np.repeat(np.arange(source.size), width)
@@ -100,7 +100,7 @@ def exterior_derivative(a: int, p: int, n_vars: int) -> SparseMatrix:
     sources = np.array(monomial_basis(n_vars, a), dtype=np.int64)
     ones = np.ones(len(sources), dtype=np.int64)
     row, col, source, factor = _exterior_pattern(
-        np.arange(len(sources)), sources, a, ones, n_vars, p)
+        np.arange(len(sources)), sources, ones, n_vars, p)
     return _from_pattern(
         [1], row, col, np.zeros_like(source), factor, shape,
         lambda: (itertools.product(monomial_basis(n_vars, a - 1), wedge_basis(n_vars, p + 1)),
@@ -125,7 +125,7 @@ def koszul_flattening(P: Poly, k: int, p: int) -> SparseMatrix:
     shape = _int64_shape(_basis_size(n, d - k - 1) * comb(n, p + 1),
                          _basis_size(n, k) * comb(n, p))
     term, alpha, m, factor = _derivative_pattern(P, k)
-    row, col, pair, factor = _exterior_pattern(_glex_rank(alpha, k), m, d - k, factor, n, p)
+    row, col, pair, factor = _exterior_pattern(_glex_rank(alpha), m, factor, n, p)
     return _from_pattern(
         list(P.terms.values()), row, col, term[pair], factor, shape,
         lambda: (itertools.product(monomial_basis(n, d - k - 1), wedge_basis(n, p + 1)),

@@ -452,7 +452,7 @@ def _load_poly(args) -> Poly:
         text = args.poly
     else:
         raise ValueError("give a polynomial inline or via --poly-file")
-    n_vars = args.n_vars if args.n_vars else _infer_n_vars(text)
+    n_vars = args.n_vars if args.n_vars is not None else _infer_n_vars(text)
     return parse_poly(text, n_vars)
 
 

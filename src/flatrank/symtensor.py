@@ -22,12 +22,12 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import comb, factorial, lcm, perm
 from typing import Sequence
 
 import numpy as np
 
-from .exactla import SparseMatrix, _int64_shape
+from .exactla import SparseMatrix, _exact, _int64_shape
 
 ExponentVector = tuple[int, ...]
 
@@ -92,7 +92,7 @@ class Poly:
                 raise ValueError(f"bad exponent vector {exps}")
             if sum(exps) != degree:
                 raise ValueError(f"term {exps} has degree {sum(exps)}, expected {degree}")
-            coeff = Fraction(coeff)
+            coeff = Fraction(_exact(coeff))
             if coeff:
                 clean[exps] = coeff
         self.terms = clean
@@ -125,7 +125,7 @@ class Poly:
         return self + other.scale(-1)
 
     def scale(self, c) -> "Poly":
-        c = Fraction(c)
+        c = _exact(c)
         return Poly(self.n_vars, self.degree, {e: c * v for e, v in self.terms.items()})
 
     def __mul__(self, other: "Poly") -> "Poly":
@@ -337,11 +337,7 @@ def gen_random(n_vars: int, d: int, seed: int, coeff_bound: int) -> Poly:
     )
 
 
-def _falling(e: int, a: int) -> int:
-    out = 1
-    for step in range(a):
-        out *= e - step
-    return out
+_falling = perm  # the falling factorial e (e-1) ... (e-a+1), 0 when a > e
 
 
 def partial_derivative(P: Poly, alpha: ExponentVector) -> Poly:
@@ -364,21 +360,22 @@ def partial_derivative(P: Poly, alpha: ExponentVector) -> Poly:
     return Poly(P.n_vars, P.degree - order, terms)
 
 
-def _glex_rank(exps: np.ndarray, degree: int) -> np.ndarray:
-    """Index of each row of ``exps`` in ``monomial_basis(n, degree)``.
+def _glex_rank(exps: np.ndarray) -> np.ndarray:
+    """Index of each row of ``exps`` in ``monomial_basis(n, degree)``, degree
+    the row's sum.
 
     The index counts the degree-``degree`` vectors that are lexicographically
     larger.  Those that first differ at position j number C(t + n-j-2, n-j-1),
     t the sum of the row beyond j (hockey-stick identity), so the index is a
-    sum of n-1 lookups in a binomial table; no basis is enumerated.
+    sum of n-1 lookups in a binomial table over the sums t that occur.
     """
     n = exps.shape[1]
-    table = np.array(
-        [[comb(t + n - j - 2, n - j - 1) for t in range(degree + 1)] for j in range(n - 1)],
-        dtype=np.int64,
-    ).reshape(n - 1, degree + 1)
     tails = np.cumsum(exps[:, :0:-1], axis=1)[:, ::-1]
-    return table[np.arange(n - 1), tails].sum(axis=1)
+    # With return_inverse np.unique sorts; its hashing path imports numpy.ma.
+    sums, at = np.unique(tails, return_inverse=True)
+    table = np.array([[comb(t + n - j - 2, n - j - 1) for t in sums.tolist()]
+                      for j in range(n - 1)], dtype=np.int64).reshape(n - 1, sums.size)
+    return table[np.arange(n - 1), at.reshape(tails.shape)].sum(axis=1)
 
 
 def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -412,13 +409,14 @@ def _derivative_pattern(P: Poly, k: int):
         a = low[pick] + np.arange(pick.size) - np.repeat(np.cumsum(counts) - counts, counts)
         term, rest = term[pick], rest[pick] - a
         alpha = np.column_stack([alpha[pick], a])
-    # Each factor is a product of falling factorials, at most d!/(d-k)!.
-    d = P.degree
-    falling = np.array([[_falling(b, a) for a in range(k + 1)] for b in range(d + 1)],
-                       dtype=np.int64 if _falling(d, k).bit_length() < 63 else object)
-    factor = np.ones(term.size, dtype=falling.dtype)
-    for j in range(n):
-        factor = factor * falling[beta[term, j], alpha[:, j]]
+    # Each factor is a product of falling factorials, at most d!/(d-k)!,
+    # tabled over the exponents and orders that occur.
+    bs, at_b = np.unique(beta, return_inverse=True)
+    alphas, at_a = np.unique(alpha, return_inverse=True)
+    falling = np.array([[_falling(b, a) for a in alphas.tolist()] for b in bs.tolist()],
+                       dtype=np.int64 if _falling(P.degree, k).bit_length() < 63 else object)
+    falling = falling.reshape(bs.size, alphas.size)
+    factor = falling[at_b.reshape(beta.shape)[term], at_a.reshape(alpha.shape)].prod(axis=1)
     return term, alpha, beta[term] - alpha, factor
 
 
@@ -431,7 +429,7 @@ def _from_pattern(coeffs: Sequence, row, col, term, factor, shape, labels) -> Sp
     """The ``shape`` matrix with entry coeffs[term] * factor at (row, col),
     one entry per pattern position, labeled by ``labels()`` on first read.
     The coefficients are carried as integers over their common denominator,
-    which is divided out once per entry.  Every entry is a nonzero
+    which the matrix keeps as its one denominator.  Every entry is a nonzero
     coefficient times a nonzero factor; a position outside ``shape`` or
     listed twice raises ValueError."""
     n_rows, n_cols = shape
@@ -442,12 +440,10 @@ def _from_pattern(coeffs: Sequence, row, col, term, factor, shape, labels) -> Sp
     row, col = row[order], col[order]
     if ((row[1:] == row[:-1]) & (col[1:] == col[:-1])).any():
         raise ValueError("pattern lists a position twice")
-    den = lcm(*(Fraction(c).denominator for c in coeffs))
-    num = np.array([int(c * den) for c in coeffs], dtype=object)
-    values = _times(num[term[order]], factor[order])
-    if den > 1:
-        values = np.array([Fraction(v, den) for v in values.tolist()], dtype=object)
-    return SparseMatrix._wrap(n_rows, n_cols, row, col, values, labels)
+    den = lcm(*(c.denominator for c in coeffs))
+    num = np.array([c.numerator * (den // c.denominator) for c in coeffs], dtype=object)
+    return SparseMatrix._wrap(n_rows, n_cols, row, col, _times(num[term[order]], factor[order]),
+                              labels, den)
 
 
 def catalecticant(P: Poly, k: int) -> SparseMatrix:
@@ -465,7 +461,7 @@ def catalecticant(P: Poly, k: int) -> SparseMatrix:
     shape = _int64_shape(_basis_size(n, d - k), _basis_size(n, k))
     term, alpha, m, factor = _derivative_pattern(P, k)
     return _from_pattern(
-        list(P.terms.values()), _glex_rank(m, d - k), _glex_rank(alpha, k), term, factor,
+        list(P.terms.values()), _glex_rank(m), _glex_rank(alpha), term, factor,
         shape, lambda: (monomial_basis(n, d - k), monomial_basis(n, k)),
     )
 
@@ -488,8 +484,8 @@ def shifted_partials(P: Poly, k: int, ell: int) -> SparseMatrix:
     shift = np.tile(np.arange(len(shifts)), term.size)
     moved = m[pick] + np.array(shifts, dtype=np.int64)[shift]
     return _from_pattern(
-        list(P.terms.values()), _glex_rank(moved, d - k + ell),
-        _glex_rank(alpha, k)[pick] * len(shifts) + shift, term[pick], factor[pick], shape,
+        list(P.terms.values()), _glex_rank(moved),
+        _glex_rank(alpha)[pick] * len(shifts) + shift, term[pick], factor[pick], shape,
         lambda: (monomial_basis(n, d - k + ell),
                  itertools.product(monomial_basis(n, k), shifts)),
     )

@@ -4,6 +4,7 @@ catalecticant."""
 
 import hashlib
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from flatrank.exactla import (
     rank_exact,
     rank_modular,
 )
+from flatrank import symtensor
 from flatrank.koszul import exterior_derivative, koszul_flattening, wedge_basis, wedge_insert
 from flatrank.symtensor import (
     Poly,
@@ -252,11 +254,21 @@ def test_factors_beyond_int64_are_exact():
         assert rank_modular(built, 2, 5).rank == rank_exact(built).rank
 
 
+def test_falling_factorials_are_tabled_only_where_they_occur():
+    # Two nonzeros in a 100001 x 2 matrix: the table must not grow with d.
+    P = Poly.monomial((10**5, 1))
+    with mock.patch.object(symtensor, "_falling", wraps=symtensor._falling) as falling:
+        m = catalecticant(P, 1)
+    assert falling.call_count <= 5
+    assert (m.n_rows, m.n_cols) == (10**5 + 1, 2)
+    assert m.entries() == [(0, 1, 1), (1, 0, 10**5)]
+
+
 @pytest.mark.parametrize("n", range(1, 6))
 def test_glex_rank_is_the_basis_index(n):
     for degree in range(6):
         basis = monomial_basis(n, degree)
-        ranks = _glex_rank(np.array(basis, dtype=np.int64).reshape(len(basis), n), degree)
+        ranks = _glex_rank(np.array(basis, dtype=np.int64).reshape(len(basis), n))
         assert ranks.tolist() == list(range(len(basis)))
 
 

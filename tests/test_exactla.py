@@ -2,6 +2,7 @@
 
 import random
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 from unittest import mock
 
@@ -39,7 +40,13 @@ from flatrank.exactla import (
     _times_mod,
 )
 from flatrank.koszul import koszul_flattening
-from flatrank.symtensor import catalecticant, gen_power_sum_power, gen_product, gen_random
+from flatrank.symtensor import (
+    catalecticant,
+    gen_power_sum_power,
+    gen_product,
+    gen_random,
+    shifted_partials,
+)
 
 # The prime rank_exact certifies with, drawn as it draws it.
 CERTIFICATE_PRIME = random_prime(random.Random(exactla.CERTIFICATE_SEED))
@@ -695,7 +702,7 @@ def test_dense_mod_rejects_a_vanishing_denominator():
 def test_sparse_matrix_stores_ints_as_they_come():
     entries = [(0, 0, 3), (0, 2, -(2**70)), (1, 1, Fraction(5, 3)), (1, 2, True)]
     m = SparseMatrix(2, 3, entries)
-    assert [type(v) for _, _, v in m.entries()] == [int, int, Fraction, Fraction]
+    assert [type(v) for _, _, v in m.entries()] == [int, int, Fraction, int]
     as_fractions = SparseMatrix(2, 3, [(i, j, Fraction(v)) for i, j, v in entries])
     assert m == as_fractions
     assert m.to_coordinate_text() == as_fractions.to_coordinate_text()
@@ -705,6 +712,31 @@ def test_sparse_matrix_stores_ints_as_they_come():
         SparseMatrix(1, 2, [(0, 1, 4), (0, 1, 4)])
     with pytest.raises(ValueError):
         SparseMatrix(1, 2, [(0, 2, 4)])
+
+
+@pytest.mark.parametrize("value", [0.5, "3/2", Decimal("0.1")])
+def test_sparse_matrix_refuses_inexact_values(value):
+    with pytest.raises(TypeError):
+        SparseMatrix(1, 1, [(0, 0, value)])
+
+
+@pytest.mark.parametrize("build", [
+    lambda P: catalecticant(P, 2),
+    lambda P: shifted_partials(P, 2, 1),
+    lambda P: koszul_flattening(P, 2, 1),
+])
+def test_builder_over_a_common_denominator_keeps_int64_numerators(build):
+    unscaled = build(gen_random(4, 5, 3, 9))
+    m = build(gen_random(4, 5, 3, 9).scale(Fraction(1, 3)))
+    assert m._values.dtype == np.int64 and m._den == 3
+    assert m == SparseMatrix(m.n_rows, m.n_cols, m.entries())
+    for q in (5, 7, 101, CERTIFICATE_PRIME):
+        assert _dense_mod(m, q).tolist() == [[residue(m.entry(i, j), q) for j in range(m.n_cols)]
+                                             for i in range(m.n_rows)]
+    with pytest.raises(ValueError):
+        _dense_mod(m, 3)
+    assert rank_exact(m) == rank_exact(unscaled)
+    assert rank_modular(m, 2, 4) == rank_modular(unscaled, 2, 4)
 
 
 def test_coordinate_text_round_trip():

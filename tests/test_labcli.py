@@ -114,6 +114,14 @@ def test_rank_file_input_errors_exit_2(capsys, tmp_path):
         assert code == 2 and "duplicate entry at (0, 0)" in err
 
 
+def test_flatten_refuses_zero_variables(capsys):
+    # --n-vars 0 is refused like any count below 1, not read as "infer".
+    for count in ("0", "-1"):
+        code, _, err = run_cli(capsys, "flatten", "x1*x2", "--n-vars", count,
+                               "--kind", "cat", "--k", "1")
+        assert code == 2 and "need at least one variable" in err
+
+
 def test_flatten_refuses_forms_of_degree_below_two(capsys):
     code, _, err = run_cli(capsys, "flatten", "5", "--n-vars", "2", "--kind", "cat", "--k", "1")
     assert code == 2 and "need a form of degree at least 2" in err

@@ -1,6 +1,7 @@
 """Polynomial model, generators, derivatives, and flattening builders."""
 
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -149,6 +150,14 @@ def test_partial_derivative():
     assert partial_derivative(p, (2, 0, 0)).is_zero()
     with pytest.raises(ValueError):
         partial_derivative(p, (2, 2, 0))
+
+
+@pytest.mark.parametrize("value", [0.1, "3/2", Decimal("0.1")])
+def test_poly_refuses_inexact_coefficients(value):
+    with pytest.raises(TypeError):
+        Poly(2, 1, {(1, 0): value})
+    with pytest.raises(TypeError):
+        gen_product(2).scale(value)
 
 
 def test_catalecticant_examples():
