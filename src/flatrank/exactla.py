@@ -30,11 +30,12 @@ components narrower than two panels are grouped by shape and laid one under
 another as a (B, m, n) stack, reduced in one pass and ranked by one column
 loop over all slices at once.  Its row update piv·row - f·prow mod q needs
 no inverse and stays in int64, as (q-1)^2 < 2^63.  A wider component is
-ranked by a blocked numpy kernel of exact float64 products, and echelonized
-by its scalar step where kernel bases are to be lifted.  A dense array or
-stack thus holds at most 8 * nnz / DENSE_FILL bytes, never n_rows * n_cols
-words of the declared shape, and the fraction-free engine groups the
-nonzeros by row, so memory follows nnz throughout.
+ranked by a blocked numpy kernel of exact float64 products, two reductions
+mod q per trailing entry, which stops at the first all-zero trailing block;
+it is echelonized by its scalar step where kernel bases are to be lifted.
+A dense array or stack thus holds at most 8 * nnz / DENSE_FILL bytes, never
+n_rows * n_cols words of the declared shape, and the fraction-free engine
+groups the nonzeros by row, so memory follows nnz throughout.
 """
 
 from __future__ import annotations
@@ -281,9 +282,12 @@ class SparseMatrix:
         sums = np.add.reduceat(terms, runs) if runs.size else terms
         kept = np.flatnonzero(sums)
         at = runs[kept]
-        return SparseMatrix._wrap(self.n_rows, other.n_cols, rows[at], cols[at], sums[kept],
-                                  lambda: (self.row_labels, other.col_labels),
-                                  self._den * other._den)
+        values, den = sums[kept], self._den * other._den
+        if den > 1:
+            g = gcd(den, *values.tolist())
+            values, den = values // g, den // g
+        return SparseMatrix._wrap(self.n_rows, other.n_cols, rows[at], cols[at], values,
+                                  lambda: (self.row_labels, other.col_labels), den)
 
     def to_coordinate_text(self) -> str:
         """Coordinate text dump (1-based indices, one 'row col value' line per entry)."""
@@ -442,12 +446,6 @@ def _dense_mod(m: SparseMatrix, q: int) -> np.ndarray:
     return a
 
 
-def _eliminate(a: np.ndarray, rows: np.ndarray, r: int, c: int, q: int) -> None:
-    """Clear column c of ``rows`` of a against its pivot row r (a[r, c] = 1,
-    zero left of c), mod q, in place."""
-    a[rows, c:] = (a[rows, c:] - a[rows, c][:, None] * a[r, c:][None, :]) % q
-
-
 def _echelon_mod(a: np.ndarray, q: int) -> tuple[list[int], list[int]]:
     """Bring a, entries in [0, q), to row echelon form over F_q in place,
     each pivot scaled to 1; return the pivot columns and, for each, the row
@@ -468,9 +466,10 @@ def _echelon_mod(a: np.ndarray, q: int) -> tuple[list[int], list[int]]:
             order[r], order[p] = order[p], order[r]
         inv = pow(int(a[r, c]), -1, q)
         a[r, c:] = a[r, c:] * inv % q
-        below = np.flatnonzero(a[r + 1:, c])
-        if below.size:
-            _eliminate(a, below + r + 1, r, c, q)
+        # Every row below at once: a dense panel has a nonzero in nearly all.
+        block = a[r + 1:, c:]
+        block -= a[r + 1:, c, None] * a[r, c:]
+        block %= q
         pivots.append(c)
     return pivots, order[:len(pivots)]
 
@@ -478,20 +477,22 @@ def _echelon_mod(a: np.ndarray, q: int) -> tuple[list[int], list[int]]:
 def _back_substitute(a: np.ndarray, pivots: list[int], q: int) -> None:
     """Clear above each pivot of a's echelon form too, mod q, in place: the
     reduced row echelon form."""
-    for i in range(len(pivots) - 1, 0, -1):
-        above = np.flatnonzero(a[:i, pivots[i]])
+    for i, c in reversed(list(enumerate(pivots))):
+        above = np.flatnonzero(a[:i, c])
         if above.size:
-            _eliminate(a, above, i, pivots[i], q)
+            a[above, c:] = (a[above, c:] - a[above, c, None] * a[i, c:]) % q
 
 
 def _times_mod(y: np.ndarray, q: int) -> Callable[[np.ndarray], np.ndarray]:
-    """The map x -> x·y mod q for int64 x and y, entries in [0, q), x at
-    most PANEL columns wide.  It is exact: y is split once into limbs
-    y = lo + 2^16·hi, lo < 2^16 and hi < PRIME_CEIL / 2^16 < 2^15.5, so each
-    term of the float64 (BLAS) products x·lo and x·hi is an integer below
+    """The map from int64 x to an int64 array congruent to x·y mod q, with
+    entries in [0, 2^53), for x and y with entries in [0, q), x at most PANEL
+    columns wide.  It is exact: y is split once into limbs y = lo + 2^16·hi,
+    lo < 2^16 and hi < PRIME_CEIL / 2^16 < 2^15.5, so each term of the
+    float64 (BLAS) products x·lo and x·hi is an integer below
     2^31.5·2^16 = 2^47.5, each partial sum of at most PANEL = 32 one below
     2^52.5 < 2^53, which float64 holds exactly in any summation order, FMA
-    or not.  Both are reduced mod q in int64 and recombined."""
+    or not.  Only x·hi is reduced mod q before it is shifted and x·lo added:
+    (q-1)·2^16 + PANEL·(q-1)·(2^16-1) < 2^53."""
     lo = (y & 0xFFFF).astype(np.float64)
     hi = (y >> 16).astype(np.float64)
 
@@ -501,7 +502,6 @@ def _times_mod(y: np.ndarray, q: int) -> Callable[[np.ndarray], np.ndarray]:
         out %= q
         out <<= 16
         out += (xf @ lo).astype(np.int64)
-        out %= q
         return out
     return times
 
@@ -550,8 +550,11 @@ def _modular_rank_dense(a: np.ndarray, q: int) -> int:
     of its first PANEL columns, whose k pivot rows are swapped to the top.
     With S their k x k block on the pivot columns, invertible, the rows
     below become the Schur complement A22 - A21·S^-1·A12, by exact products
-    (``_times_mod``).  The scalar kernel ranks the last, narrower, trailing
-    block in place."""
+    (``_times_mod``) reduced twice per entry: once inside the product and
+    once after the subtraction.  When that block below the pivots is all
+    zero, after an update or a panel without pivots, the rank found so far
+    is final and is returned.  Otherwise the scalar kernel ranks the last,
+    narrower, trailing block in place."""
     if max(a.shape[-2:]) < 2 * PANEL:
         return int(_stacked_ranks(a[None] if a.ndim == 2 else a, q).sum())
     if a.ndim == 3:
@@ -565,20 +568,23 @@ def _modular_rank_dense(a: np.ndarray, q: int) -> int:
         pivots, rows = _echelon_mod(t[:, :PANEL].copy(), q)
         k = len(pivots)
         rank += k
-        if k in (0, len(t)):
-            continue
-        top = np.zeros(len(t), dtype=bool)
-        top[rows] = True
-        into, out = np.flatnonzero(~top[:k]), np.flatnonzero(top[k:]) + k
-        t[np.r_[into, out]] = t[np.r_[out, into]]
-        s = np.hstack([t[:k, pivots], np.eye(k, dtype=np.int64)])
-        _back_substitute(s, _echelon_mod(s, q)[0], q)
-        w = _times_mod(s[:, k:], q)(t[k:, pivots])
-        times = _times_mod(t[:k, PANEL:], q)
-        for i in range(0, len(w), CHUNK):
-            block = t[k + i:k + i + CHUNK, PANEL:]
-            block -= times(w[i:i + CHUNK])
-            block %= q
+        if 0 < k < len(t):
+            top = np.zeros(len(t), dtype=bool)
+            top[rows] = True
+            into, out = np.flatnonzero(~top[:k]), np.flatnonzero(top[k:]) + k
+            t[np.r_[into, out]] = t[np.r_[out, into]]
+            s = np.hstack([t[:k, pivots], np.eye(k, dtype=np.int64)])
+            _back_substitute(s, _echelon_mod(s, q)[0], q)
+            w = _times_mod(s[:, k:], q)(t[k:, pivots])
+            w %= q
+            times = _times_mod(t[:k, PANEL:], q)
+            for i in range(0, len(w), CHUNK):
+                block = t[k + i:k + i + CHUNK, PANEL:]
+                block -= times(w[i:i + CHUNK])
+                block %= q
+        # count_nonzero reads the block without a boolean copy of it.
+        if not np.count_nonzero(t[k:, PANEL:]):
+            return rank
     return rank + len(_echelon_mod(a[rank:, c:], q)[0])
 
 
@@ -656,32 +662,27 @@ def _components(m: SparseMatrix) -> list[SparseMatrix]:
             for r, c, a, b in zip(n_rows, n_cols, [0, *ends], ends)]
 
 
-def _modular_rank_components(components: Sequence[SparseMatrix], q: int) -> int:
-    """Rank mod q of the matrix ``components`` split; q divides no ``_den``.
+def _modular_ranker(components: Sequence[SparseMatrix]) -> Callable[[int], int]:
+    """The map q -> rank mod q of the matrix ``components`` split, for q
+    dividing no ``_den``.
 
     A component whose fill reaches DENSE_FILL goes to the dense kernel; a
     sparser one is eliminated sparsely over F_q.  Dense components narrower
-    than two panels are grouped by shape, and each group is laid out one
-    component under another, reduced and ranked as one stack; a stack takes
-    the cells of its components, so at most 8 * nnz / DENSE_FILL bytes.
+    than two panels are grouped by shape, and each group is laid out once,
+    one component under another, then reduced and ranked as one stack per
+    prime; a stack takes the cells of its components, so at most
+    8 * nnz / DENSE_FILL bytes.
     """
-    rank = 0
-    update = _modular_update(q)
+    sparse, dense = [], []
     stacks: dict[tuple[int, int], list[SparseMatrix]] = {}
     for comp in components:
         shape = comp.n_rows, comp.n_cols
-        if comp.nnz >= DENSE_FILL * comp.n_rows * comp.n_cols:
-            if max(shape) < 2 * PANEL:
-                stacks.setdefault(shape, []).append(comp)
-            else:
-                rank += _modular_rank_dense(_dense_mod(comp, q), q)
-            continue
-        rows: dict[int, dict[int, int]] = {}
-        residues = (comp._values % q).tolist()
-        for i, j, r in zip(comp._rows.tolist(), comp._cols.tolist(), residues):
-            if r:
-                rows.setdefault(i, {})[j] = r
-        rank += _markowitz_rank(list(rows.values()), update)
+        if comp.nnz < DENSE_FILL * comp.n_rows * comp.n_cols:
+            sparse.append(comp)
+        elif max(shape) < 2 * PANEL:
+            stacks.setdefault(shape, []).append(comp)
+        else:
+            dense.append((comp, shape))
     for (n_rows, n_cols), group in stacks.items():
         slots = np.repeat(np.arange(len(group)) * n_rows, [comp.nnz for comp in group])
         stack = SparseMatrix._wrap(
@@ -689,8 +690,20 @@ def _modular_rank_components(components: Sequence[SparseMatrix], q: int) -> int:
             np.concatenate([comp._rows for comp in group]) + slots,
             np.concatenate([comp._cols for comp in group]),
             np.concatenate([comp._values for comp in group]), den=group[0]._den)
-        rank += _modular_rank_dense(
-            _dense_mod(stack, q).reshape(len(group), n_rows, n_cols), q)
+        dense.append((stack, (len(group), n_rows, n_cols)))
+
+    def rank(q: int) -> int:
+        total = sum(_modular_rank_dense(_dense_mod(m, q).reshape(shape), q)
+                    for m, shape in dense)
+        update = _modular_update(q)
+        for comp in sparse:
+            rows: dict[int, dict[int, int]] = {}
+            residues = (comp._values % q).tolist()
+            for i, j, r in zip(comp._rows.tolist(), comp._cols.tolist(), residues):
+                if r:
+                    rows.setdefault(i, {})[j] = r
+            total += _markowitz_rank(list(rows.values()), update)
+        return total
     return rank
 
 
@@ -717,10 +730,9 @@ def rank_modular(m: SparseMatrix, prime_count: int = 2, seed: int = 0) -> RankRe
     if prime_count < 1:
         raise ValueError("prime_count must be at least 1")
     _int64_shape(m.n_rows, m.n_cols)
-    components = _components(m)
     rng = random.Random(seed)
     primes = [_draw_prime(rng, m._den) for _ in range(prime_count)]
-    best = max(_modular_rank_components(components, q) for q in primes)
+    best = max(map(_modular_ranker(_components(m)), primes))
     return RankResult(best, "modular", tuple(primes))
 
 
@@ -792,7 +804,7 @@ def _component_rank(comp: SparseMatrix, q: int) -> int:
         lifted = _lifted_rank(comp, q)
         if lifted is not None:
             return lifted
-    elif _modular_rank_components([comp], q) == min(comp.n_rows, comp.n_cols):
+    elif _modular_ranker([comp])(q) == min(comp.n_rows, comp.n_cols):
         return min(comp.n_rows, comp.n_cols)
     return _sparse_integer_rank(_integer_rows(comp))
 

@@ -32,14 +32,15 @@ from flatrank.exactla import (
     _integer_rows,
     _kernel_mod,
     _markowitz_rank,
-    _modular_rank_components,
     _modular_rank_dense,
+    _modular_ranker,
     _modular_update,
     _sparse_integer_rank,
     _stacked_ranks,
     _times_mod,
 )
 from flatrank.koszul import koszul_flattening
+from flatrank.labcli import _case_seed
 from flatrank.symtensor import (
     catalecticant,
     gen_power_sum_power,
@@ -239,11 +240,11 @@ def test_component_rank_mod_q_matches_dense_kernel(m, q):
     assert len(components) == union_find_components(m)
     assert all(c == SparseMatrix(c.n_rows, c.n_cols, c.entries()) for c in components)
     assert sum(c.nnz for c in components) == m.nnz
-    assert _modular_rank_components(components, q) == reference
+    assert _modular_ranker(components)(q) == reference
     # Every component through the sparse F_q loop, then through the dense kernel.
     for fill in (2.0, 0.0):
         with mock.patch.object(exactla, "DENSE_FILL", fill):
-            assert _modular_rank_components(components, q) == reference
+            assert _modular_ranker(components)(q) == reference
 
 
 @st.composite
@@ -289,7 +290,7 @@ def test_rank_exact_falls_back_when_the_prime_divides_an_entry():
     # the 1 above the diagonal keeps a single component.
     q = CERTIFICATE_PRIME
     m = from_dense([[q, 1], [0, 1]])
-    assert _modular_rank_components([m], q) == 1
+    assert _modular_ranker([m])(q) == 1
     assert exactla._lifted_rank(m, q) is None
     with mock.patch.object(exactla, "_sparse_integer_rank",
                            wraps=_sparse_integer_rank) as fallback:
@@ -314,7 +315,7 @@ def test_rank_exact_lift_gives_up_on_large_generic_kernels():
     c = [[rng.randint(1, 2**31) for _ in range(5)] for _ in range(3)]
     rows = [[sum(b[i][t] * c[t][j] for t in range(3)) for j in range(5)] for i in range(6)]
     m = from_dense(rows)
-    assert _modular_rank_components([m], CERTIFICATE_PRIME) == 3
+    assert _modular_ranker([m])(CERTIFICATE_PRIME) == 3
     assert exactla._lifted_rank(m, CERTIFICATE_PRIME) is None
     with mock.patch.object(exactla, "_sparse_integer_rank",
                            wraps=_sparse_integer_rank) as fallback:
@@ -355,16 +356,21 @@ def test_rank_exact_draws_its_certificate_prime_once_per_process():
 
 def test_times_mod_is_exact_at_its_bound():
     # Both limbs are below 2^16, so every float64 partial sum of a product
-    # PANEL deep stays an integer below 2^53.
+    # PANEL deep stays an integer below 2^53.  Only the hi product is reduced
+    # before the lo one is added, so the result, congruent to x·y mod q,
+    # stays below (q-1)·2^16 + PANEL·(q-1)·(2^16-1) < 2^53.
     assert (PRIME_CEIL - 1) >> 16 < 2**16 - 1
     assert PANEL * (PRIME_CEIL - 1) * (2**16 - 1) < 2**53
+    assert (PRIME_CEIL - 1) * 2**16 + PANEL * (PRIME_CEIL - 1) * (2**16 - 1) < 2**53
     q = 3037000493
     assert is_prime(q) and q <= PRIME_CEIL
     rng = np.random.default_rng(0)
     for x, y in [(np.full((3, PANEL), q - 1), np.full((PANEL, 70), q - 1)),
                  (rng.integers(0, q, (5, PANEL)), rng.integers(0, q, (PANEL, 9)))]:
         expected = x.astype(object) @ y.astype(object) % q
-        assert (_times_mod(y, q)(x) == expected).all()
+        product = _times_mod(y, q)(x)
+        assert (product % q == expected).all()
+        assert product.min() >= 0 and product.max() < 2**53
 
 
 @st.composite
@@ -394,8 +400,24 @@ def panel_matrices(draw):
     return (a.T.copy() if draw(st.booleans()) else a), q
 
 
+def _first_panel_rank_then_zero_panels():
+    rng = np.random.default_rng(5)
+    a = np.zeros((40, 5 * PANEL), dtype=np.int64)
+    a[:, :PANEL] = rng.integers(0, 8, (40, 10)) @ rng.integers(0, 101, (10, PANEL)) % 101
+    return a
+
+
+def _zero_panel_then_full_rank():
+    a = np.zeros((40, 3 * PANEL), dtype=np.int64)
+    a[:, PANEL:] = np.random.default_rng(4).integers(0, 101, (40, 2 * PANEL))
+    return a
+
+
 @settings(max_examples=100, deadline=None)
 @given(panel_matrices(), st.sampled_from([5, exactla.CHUNK]))
+@example((_zero_panel_then_full_rank(), 101), 5)
+@example((_first_panel_rank_then_zero_panels(), 101), 5)
+@example((np.full((PANEL + 3, 2 * PANEL + 5), 3037000492), 3037000493), exactla.CHUNK)
 def test_blocked_dense_kernel_matches_the_sparse_oracle(case, chunk):
     # A small chunk splits the trailing update of these small matrices too.
     a, q = case
@@ -416,6 +438,20 @@ def test_dense_kernel_multiplies_only_from_two_panels_wide(shape, blocked):
     with mock.patch.object(exactla, "_times_mod", wraps=_times_mod) as times:
         assert _modular_rank_dense(a, 101) == min(shape)
     assert times.called == blocked
+
+
+def test_dense_kernel_stops_at_the_first_all_zero_trailing_block():
+    # dense-generic's (6, 4, 3) cell: 90 x 2520 of rank 84, whose pivots all
+    # lie in the first three panels; the 74 panels after them are not read.
+    seed = _case_seed(0, 6, 4, 3)
+    matrix = koszul_flattening(gen_random(6, 6, seed, 2**31 - 1), 4, 3)
+    q = rank_modular(matrix, 1, _case_seed(0, 6, 4, 3, 7)).primes_used[0]
+    a = _dense_mod(matrix, q)
+    assert a.shape == (90, 2520)
+    with mock.patch.object(exactla, "_echelon_mod", wraps=exactla._echelon_mod) as echelon:
+        assert _modular_rank_dense(a, q) == 84
+    panels = [call for call in echelon.call_args_list if call.args[0].shape[1] == PANEL]
+    assert len(panels) <= 4
 
 
 @st.composite
@@ -633,6 +669,16 @@ def test_entry_on_a_matrix_too_large_for_int64_indices():
             assert type(value) in (int, Fraction)
             assert value == stored.get((i, j), 0)
     assert rank_exact(m).rank == 3
+
+
+def test_multiply_reduces_the_product_denominator():
+    # [[1/q]]·[[q]] is [[1]]: no factor q may stay behind in _den, or
+    # rank_modular would redraw the prime q that [[1]] is ranked with.
+    q = 2582278367
+    product = SparseMatrix(1, 1, [(0, 0, Fraction(1, q))]).multiply(from_dense([[q]]))
+    assert product._den == 1 and product.entries() == [(0, 0, 1)]
+    assert rank_modular(product, 1, 0).primes_used == (q,)
+    assert rank_modular(from_dense([[1]]), 1, 0).primes_used == (q,)
 
 
 def test_sparse_matrix_operations():
