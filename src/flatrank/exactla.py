@@ -30,9 +30,9 @@ components narrower than two panels are grouped by shape and laid one under
 another as a (B, m, n) stack, reduced in one pass and ranked by one column
 loop over all slices at once.  Its row update piv·row - f·prow mod q needs
 no inverse and stays in int64, as (q-1)^2 < 2^63.  A wider component is
-ranked by a blocked numpy kernel of exact float64 products, two reductions
-mod q per trailing entry, which stops at the first all-zero trailing block;
-it is echelonized by its scalar step where kernel bases are to be lifted.
+ranked by a blocked right-looking LU of exact float64 products, reduced
+lazily, which stops at the first all-zero trailing block; its per-pivot
+loop alone factors a component whose kernel basis is to be lifted.
 A dense array or stack thus holds at most 8 * nnz / DENSE_FILL bytes, never
 n_rows * n_cols words of the declared shape, and the fraction-free engine
 groups the nonzeros by row, so memory follows nnz throughout.
@@ -72,9 +72,12 @@ EXACT_COLUMN_LIMIT = 500
 DENSE_FILL = 0.05
 
 # The dense F_q kernel eliminates PANEL columns at a time and updates CHUNK
-# rows at a time; _times_mod is exact while PANEL·PRIME_CEIL·2^16 < 2^53.
+# rows at a time.  _times_mod is exact while (PANEL + 2)·PRIME_CEIL·2^16 < 2^53,
+# and _DRIFT of its values subtracted from an entry in [0, q) keep the entry,
+# and the x // q·q that reduces it, below 2^62 in magnitude.
 PANEL = 32
-CHUNK = 64
+CHUNK = 16
+_DRIFT = 2**62 // ((PANEL + 2) * PRIME_CEIL << 16)
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -435,75 +438,97 @@ def _sparse_integer_rank(rows: list[dict[int, int]]) -> int:
     return _markowitz_rank(rows, _exact_update)
 
 
+def _mod(x: np.ndarray, q: int) -> np.ndarray:
+    """x mod q as a new array, x - (x // q)·q built in one temporary: numpy
+    divides int64 by a scalar without the hardware division of np.remainder."""
+    r = x // q
+    r *= -q
+    r += x
+    return r
+
+
 def _dense_mod(m: SparseMatrix, q: int) -> np.ndarray:
     """m mod q as a dense int64 array: each numerator mod q, times the
     inverse of ``_den`` mod q; ValueError when q divides ``_den``."""
-    residues = m._values % q
-    if m._den != 1:
-        residues = residues * pow(m._den, -1, q) % q
     a = np.zeros((m.n_rows, m.n_cols), dtype=np.int64)
+    residues = _mod(m._values, q)
+    if m._den != 1:
+        residues = _mod(residues * pow(m._den, -1, q), q)
     a[m._rows, m._cols] = residues
     return a
 
 
-def _echelon_mod(a: np.ndarray, q: int) -> tuple[list[int], list[int]]:
-    """Bring a, entries in [0, q), to row echelon form over F_q in place,
-    each pivot scaled to 1; return the pivot columns and, for each, the row
-    of the input that became its pivot row."""
-    n_rows, n_cols = a.shape
-    pivots = []
-    order = list(range(n_rows))
-    for c in range(n_cols):
+def _lu_mod(a: np.ndarray, q: int) -> tuple[list[int], list[tuple[int, int]]]:
+    """LU-factor a, entries in [0, q), over F_q in place; return the pivot
+    columns and the row swaps made.  Row i < len(pivots) holds the echelon
+    form U from column pivots[i] on, pivot unscaled; below each pivot sits
+    the multiplier that cleared it, so a[:, pivots] holds the unit lower L."""
+    pivots: list[int] = []
+    swaps: list[tuple[int, int]] = []
+    for c in range(a.shape[1]):
         r = len(pivots)
-        if r == n_rows:
+        if r == len(a):
             break
-        nz = np.flatnonzero(a[r:, c])
+        nz = a[r:, c].nonzero()[0]
         if nz.size == 0:
             continue
         p = r + int(nz[0])
         if p != r:
-            a[[r, p], c:] = a[[p, r], c:]
-            order[r], order[p] = order[p], order[r]
-        inv = pow(int(a[r, c]), -1, q)
-        a[r, c:] = a[r, c:] * inv % q
+            a[[r, p]] = a[[p, r]]
+            swaps.append((r, p))
         # Every row below at once: a dense panel has a nonzero in nearly all.
-        block = a[r + 1:, c:]
-        block -= a[r + 1:, c, None] * a[r, c:]
-        block %= q
+        below = a[r + 1:, c] = _mod(a[r + 1:, c] * pow(int(a[r, c]), -1, q), q)
+        block = a[r + 1:, c + 1:]
+        block -= below[:, None] * a[r, c + 1:]
+        block[...] = _mod(block, q)
         pivots.append(c)
-    return pivots, order[:len(pivots)]
+    return pivots, swaps
 
 
 def _back_substitute(a: np.ndarray, pivots: list[int], q: int) -> None:
-    """Clear above each pivot of a's echelon form too, mod q, in place: the
-    reduced row echelon form."""
+    """Clear above each pivot of a's echelon form, its pivots scaled to 1,
+    mod q, in place: the reduced row echelon form."""
     for i, c in reversed(list(enumerate(pivots))):
-        above = np.flatnonzero(a[:i, c])
+        above = a[:i, c].nonzero()[0]
         if above.size:
-            a[above, c:] = (a[above, c:] - a[above, c, None] * a[i, c:]) % q
+            a[above, c:] = _mod(a[above, c:] - a[above, c, None] * a[i, c:], q)
 
 
 def _times_mod(y: np.ndarray, q: int) -> Callable[[np.ndarray], np.ndarray]:
-    """The map from int64 x to an int64 array congruent to x·y mod q, with
-    entries in [0, 2^53), for x and y with entries in [0, q), x at most PANEL
-    columns wide.  It is exact: y is split once into limbs y = lo + 2^16·hi,
-    lo < 2^16 and hi < PRIME_CEIL / 2^16 < 2^15.5, so each term of the
-    float64 (BLAS) products x·lo and x·hi is an integer below
-    2^31.5·2^16 = 2^47.5, each partial sum of at most PANEL = 32 one below
-    2^52.5 < 2^53, which float64 holds exactly in any summation order, FMA
-    or not.  Only x·hi is reduced mod q before it is shifted and x·lo added:
-    (q-1)·2^16 + PANEL·(q-1)·(2^16-1) < 2^53."""
+    """The map from int64 x to an int64 array congruent to x·y mod q, of
+    magnitude below (PANEL + 2)·q·2^16 < 2^53, for x and y with entries in
+    [0, q), x at most PANEL columns wide.  It is exact: y is split once into
+    limbs y = lo + 2^16·hi, lo < 2^16 and hi < 2^15.5, so each float64 (BLAS)
+    product x·lo and x·hi sums at most PANEL = 32 integers below 2^47.5,
+    exactly in any order, FMA or not.  x·hi is reduced in float64 by the
+    quotient estimate floor(h·(1/q)), off by at most one, to [-q, 2q), then
+    shifted and added to x·lo: every value stays an integer below 2^53."""
     lo = (y & 0xFFFF).astype(np.float64)
     hi = (y >> 16).astype(np.float64)
 
     def times(x: np.ndarray) -> np.ndarray:
         xf = x.astype(np.float64)
-        out = (xf @ hi).astype(np.int64)
-        out %= q
-        out <<= 16
-        out += (xf @ lo).astype(np.int64)
-        return out
+        h = xf @ hi
+        t = np.multiply(h, 1 / q)
+        np.floor(t, out=t)
+        t *= q
+        h -= t
+        h *= 2**16
+        h += np.matmul(xf, lo, out=t)
+        t.view(np.int64)[...] = h  # h's exact cast, in t's buffer: one array fewer
+        return t.view(np.int64)
     return times
+
+
+def _unit_lower_inverse(n: np.ndarray, q: int) -> np.ndarray:
+    """(I + n)^-1 over F_q for n strictly lower triangular with entries in
+    [0, q), k x k with k <= PANEL.  As n^k = 0, it is (I - n)(I + n^2)···
+    (I + n^2^j) with 2^(j+1) >= k: at most 8 products for k = 32."""
+    inverse, power = _mod(np.eye(len(n), dtype=np.int64) - n, q), n
+    for _ in range((len(n) - 1).bit_length() - 1):
+        power = _mod(_times_mod(power, q)(power), q)
+        inverse = _mod(inverse + _times_mod(power, q)(inverse), q)
+    return inverse
 
 
 def _stacked_ranks(a: np.ndarray, q: int) -> np.ndarray:
@@ -534,7 +559,7 @@ def _stacked_ranks(a: np.ndarray, q: int) -> np.ndarray:
         t = a[:, :, c + 1:]
         t *= piv[:, None, None]
         t -= f[:, :, None] * prow[:, None, :]
-        t %= q
+        a[:, :, c + 1:] = _mod(t, q)
         ranks += has
     return ranks
 
@@ -545,63 +570,63 @@ def _modular_rank_dense(a: np.ndarray, q: int) -> int:
 
     A stack narrower than two panels is ranked by ``_stacked_ranks``, all
     slices at once.  A wider one is ranked slice by slice by blocked
-    right-looking elimination of the wider orientation: while the trailing
-    block is at least two panels wide, the scalar kernel echelonizes a copy
-    of its first PANEL columns, whose k pivot rows are swapped to the top.
-    With S their k x k block on the pivot columns, invertible, the rows
-    below become the Schur complement A22 - A21·S^-1·A12, by exact products
-    (``_times_mod``) reduced twice per entry: once inside the product and
-    once after the subtraction.  When that block below the pivots is all
-    zero, after an update or a panel without pivots, the rank found so far
-    is final and is returned.  Otherwise the scalar kernel ranks the last,
-    narrower, trailing block in place."""
+    right-looking LU of the wider orientation: while the trailing block is
+    at least two panels wide, ``_lu_mod`` factors a copy of its first PANEL
+    columns, and the rest of the block follows its row swaps.  With
+    S = L11·U11 the k pivot rows on the pivot columns and A21 = L21·U11 the
+    rows below, A21·S^-1 = L21·L11^-1, so the Schur complement
+    A22 - L21·L11^-1·A12 needs no inverse of S.  A row is reduced when it
+    joins a panel or becomes a pivot row, and the whole block every _DRIFT
+    updates; after a panel without pivots, when the block reduced is all
+    zero, the rank found so far is final.  ``_lu_mod`` ranks the last block."""
     if max(a.shape[-2:]) < 2 * PANEL:
         return int(_stacked_ranks(a[None] if a.ndim == 2 else a, q).sum())
     if a.ndim == 3:
         return sum(_modular_rank_dense(s, q) for s in a)
     if a.shape[0] > a.shape[1]:
         a = np.ascontiguousarray(a.T)
-    rank = c = 0
+    rank = c = updates = 0
     while a.shape[1] - c >= 2 * PANEL and rank < len(a):
         t = a[rank:, c:]
         c += PANEL
-        pivots, rows = _echelon_mod(t[:, :PANEL].copy(), q)
+        panel = _mod(t[:, :PANEL], q)
+        pivots, swaps = _lu_mod(panel, q)
         k = len(pivots)
         rank += k
-        if 0 < k < len(t):
-            top = np.zeros(len(t), dtype=bool)
-            top[rows] = True
-            into, out = np.flatnonzero(~top[:k]), np.flatnonzero(top[k:]) + k
-            t[np.r_[into, out]] = t[np.r_[out, into]]
-            s = np.hstack([t[:k, pivots], np.eye(k, dtype=np.int64)])
-            _back_substitute(s, _echelon_mod(s, q)[0], q)
-            w = _times_mod(s[:, k:], q)(t[k:, pivots])
-            w %= q
-            times = _times_mod(t[:k, PANEL:], q)
-            for i in range(0, len(w), CHUNK):
-                block = t[k + i:k + i + CHUNK, PANEL:]
-                block -= times(w[i:i + CHUNK])
-                block %= q
+        rest = t[:, PANEL:]
         # count_nonzero reads the block without a boolean copy of it.
-        if not np.count_nonzero(t[k:, PANEL:]):
+        if not k and not np.count_nonzero(_mod(rest, q)):
             return rank
-    return rank + len(_echelon_mod(a[rank:, c:], q)[0])
+        if 0 < k < len(t):
+            for r, p in swaps:
+                rest[[r, p]] = rest[[p, r]]
+            lower = panel[:, pivots]
+            w = _mod(_times_mod(_unit_lower_inverse(np.tril(lower[:k], -1), q), q)(lower[k:]), q)
+            updates += 1
+            if updates > _DRIFT:
+                updates, rest[k:] = 1, _mod(rest[k:], q)
+            times = _times_mod(_mod(rest[:k], q), q)
+            for i in range(0, len(w), CHUNK):
+                rest[k + i:k + i + CHUNK] -= times(w[i:i + CHUNK])
+    return rank + len(_lu_mod(_mod(a[rank:, c:], q), q)[0])
 
 
 def _kernel_mod(a: np.ndarray, q: int) -> np.ndarray:
     """A basis of the right kernel of a over F_q, one row per non-pivot
     column of its echelon form, equal to 1 there and 0 at the other
     non-pivot columns.  Overwrites a."""
-    pivots = _echelon_mod(a, q)[0]
+    pivots = _lu_mod(a, q)[0]
     is_pivot = set(pivots)
     free = [c for c in range(a.shape[1]) if c not in is_pivot]
     kernel = np.zeros((len(free), a.shape[1]), dtype=np.int64)
     if free:
-        # In the reduced form, the kernel vector of a free column is minus
-        # that column on the pivots.
-        _back_substitute(a, pivots, q)
+        # With the pivot rows scaled to 1 and cleared above their pivots, the
+        # kernel vector of a free column is minus that column on the pivots.
+        inverses = [pow(int(a[i, c]), -1, q) for i, c in enumerate(pivots)]
+        u = _mod(a[:len(pivots)] * np.array(inverses, dtype=np.int64)[:, None], q)
+        _back_substitute(u, pivots, q)
         kernel[range(len(free)), free] = 1
-        kernel[:, pivots] = (-a[:len(pivots), free].T) % q
+        kernel[:, pivots] = _mod(-u[:, free].T, q)
     return kernel
 
 
@@ -698,7 +723,7 @@ def _modular_ranker(components: Sequence[SparseMatrix]) -> Callable[[int], int]:
         update = _modular_update(q)
         for comp in sparse:
             rows: dict[int, dict[int, int]] = {}
-            residues = (comp._values % q).tolist()
+            residues = _mod(comp._values, q).tolist()
             for i, j, r in zip(comp._rows.tolist(), comp._cols.tolist(), residues):
                 if r:
                     rows.setdefault(i, {})[j] = r

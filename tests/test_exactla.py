@@ -355,22 +355,42 @@ def test_rank_exact_draws_its_certificate_prime_once_per_process():
 
 
 def test_times_mod_is_exact_at_its_bound():
-    # Both limbs are below 2^16, so every float64 partial sum of a product
-    # PANEL deep stays an integer below 2^53.  Only the hi product is reduced
-    # before the lo one is added, so the result, congruent to x·y mod q,
-    # stays below (q-1)·2^16 + PANEL·(q-1)·(2^16-1) < 2^53.
-    assert (PRIME_CEIL - 1) >> 16 < 2**16 - 1
-    assert PANEL * (PRIME_CEIL - 1) * (2**16 - 1) < 2**53
-    assert (PRIME_CEIL - 1) * 2**16 + PANEL * (PRIME_CEIL - 1) * (2**16 - 1) < 2**53
     q = 3037000493
     assert is_prime(q) and q <= PRIME_CEIL
+    # Both limbs are below 2^16, so every float64 partial sum of a product
+    # PANEL deep stays an integer below 2^53, at most h for the hi limb.
+    h = PANEL * (q - 1) * ((q - 1) >> 16)
+    assert (q - 1) >> 16 < 2**16 - 1 and PANEL * (q - 1) * (2**16 - 1) < 2**53
+    # floor(h·(1/q)) carries two roundings, relative error under 2^-51, so it
+    # is off from floor(h / q) by at most one: |h - floor(h·(1/q))·q| <= 2q.
+    assert h / q * 2.0**-51 < 1
+    for x in [h, h - 1, h - h % q, h - h % q - 1, q, 2 * q - 1, 0]:
+        assert abs(x - np.floor(np.float64(x) * (1 / q)) * q) <= 2 * q
+    # The reduced hi product, in [-q, 2q), shifted and added to the lo one
+    # stays an integer below 2^53.
+    assert 2 * q * 2**16 + PANEL * (q - 1) * (2**16 - 1) <= (PANEL + 2) * PRIME_CEIL * 2**16 < 2**53
+    # A trailing entry in [0, q) minus _DRIFT such values, and the x // q·q
+    # that then reduces it, stay inside int64.
+    assert exactla._DRIFT >= 1
+    assert q + exactla._DRIFT * (PANEL + 2) * PRIME_CEIL * 2**16 <= 2**62 < 2**63 - 2 * q
     rng = np.random.default_rng(0)
     for x, y in [(np.full((3, PANEL), q - 1), np.full((PANEL, 70), q - 1)),
                  (rng.integers(0, q, (5, PANEL)), rng.integers(0, q, (PANEL, 9)))]:
         expected = x.astype(object) @ y.astype(object) % q
         product = _times_mod(y, q)(x)
         assert (product % q == expected).all()
-        assert product.min() >= 0 and product.max() < 2**53
+        assert np.abs(product).max() < (PANEL + 2) * q * 2**16
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 31, 32])
+@pytest.mark.parametrize("q", [5, 101, 3037000493])
+def test_unit_lower_inverse_inverts_mod_q(k, q):
+    rng = np.random.default_rng(k)
+    for n in [np.tril(rng.integers(0, q, (k, k)), -1), np.tril(np.full((k, k), q - 1), -1)]:
+        inverse = exactla._unit_lower_inverse(n.copy(), q)
+        assert inverse.min() >= 0 and inverse.max() < q
+        unit = np.eye(k, dtype=np.int64) + n
+        assert (unit.astype(object) @ inverse.astype(object) % q == np.eye(k)).all()
 
 
 @st.composite
@@ -413,16 +433,33 @@ def _zero_panel_then_full_rank():
     return a
 
 
+def _one_pivot_per_panel_near_q(q=3037000493, n_rows=12):
+    # -(B·U) mod q, B lower triangular of ones and U in echelon form with row
+    # i's pivot on panel i: every nonzero entry lies near q - 1, and each of
+    # the first n_rows panels adds exactly one pivot, so the unreduced rows
+    # below take one update after another.
+    rng = np.random.default_rng(6)
+    u = rng.integers(1, 4, (n_rows, (n_rows + 2) * PANEL + 7))
+    for i in range(n_rows):
+        u[i, :i * PANEL] = 0
+    return (-(np.tril(np.ones((n_rows, n_rows), dtype=np.int64)) @ u)) % q
+
+
 @settings(max_examples=100, deadline=None)
-@given(panel_matrices(), st.sampled_from([5, exactla.CHUNK]))
-@example((_zero_panel_then_full_rank(), 101), 5)
-@example((_first_panel_rank_then_zero_panels(), 101), 5)
-@example((np.full((PANEL + 3, 2 * PANEL + 5), 3037000492), 3037000493), exactla.CHUNK)
-def test_blocked_dense_kernel_matches_the_sparse_oracle(case, chunk):
-    # A small chunk splits the trailing update of these small matrices too.
+@given(panel_matrices(), st.sampled_from([5, exactla.CHUNK]), st.sampled_from([1, exactla._DRIFT]))
+@example((_zero_panel_then_full_rank(), 101), 5, exactla._DRIFT)
+@example((_first_panel_rank_then_zero_panels(), 101), 5, exactla._DRIFT)
+@example((np.full((PANEL + 3, 2 * PANEL + 5), 3037000492), 3037000493), exactla.CHUNK,
+         exactla._DRIFT)
+@example((_one_pivot_per_panel_near_q(), 3037000493), 5, exactla._DRIFT)
+@example((_one_pivot_per_panel_near_q().T.copy(), 3037000493), exactla.CHUNK, 1)
+def test_blocked_dense_kernel_matches_the_sparse_oracle(case, chunk, drift):
+    # A small chunk splits the trailing update of these small matrices too,
+    # and a drift of 1 reduces the whole trailing block before every update
+    # but the first.
     a, q = case
     rows = [{j: v for j, v in enumerate(row) if v} for row in a.tolist()]
-    with mock.patch.object(exactla, "CHUNK", chunk):
+    with mock.patch.object(exactla, "CHUNK", chunk), mock.patch.object(exactla, "_DRIFT", drift):
         assert _modular_rank_dense(a.copy(), q) == _markowitz_rank(rows, _modular_update(q))
 
 
@@ -448,10 +485,25 @@ def test_dense_kernel_stops_at_the_first_all_zero_trailing_block():
     q = rank_modular(matrix, 1, _case_seed(0, 6, 4, 3, 7)).primes_used[0]
     a = _dense_mod(matrix, q)
     assert a.shape == (90, 2520)
-    with mock.patch.object(exactla, "_echelon_mod", wraps=exactla._echelon_mod) as echelon:
+    with mock.patch.object(exactla, "_lu_mod", wraps=exactla._lu_mod) as lu:
         assert _modular_rank_dense(a, q) == 84
-    panels = [call for call in echelon.call_args_list if call.args[0].shape[1] == PANEL]
+    panels = [call for call in lu.call_args_list if call.args[0].shape[1] == PANEL]
     assert len(panels) <= 4
+
+
+def test_blocked_path_runs_one_pivot_loop_per_panel():
+    # 70 x 138 of full rank: panels of 70, 38 and 6 rows find 32, 32 and 6
+    # pivots, then the narrow tail has no rows left.  The pivot loop sees
+    # each panel once and nothing else, no [S | I] block; the multipliers
+    # of the two panels with rows below their pivots are inverted, not S.
+    a = np.random.default_rng(2).integers(0, 101, (70, 4 * PANEL + 10))
+    with mock.patch.object(exactla, "_lu_mod", wraps=exactla._lu_mod) as lu, \
+            mock.patch.object(exactla, "_unit_lower_inverse",
+                              wraps=exactla._unit_lower_inverse) as inverse:
+        assert _modular_rank_dense(a, 101) == 70
+    assert [call.args[0].shape for call in lu.call_args_list] == [
+        (70, PANEL), (38, PANEL), (6, PANEL), (0, PANEL + 10)]
+    assert [call.args[0].shape for call in inverse.call_args_list] == [(PANEL, PANEL)] * 2
 
 
 @st.composite
@@ -516,7 +568,10 @@ def test_rank_modular_reduces_and_ranks_each_component_shape_once_per_prime():
 
 @settings(max_examples=60, deadline=None)
 @given(permuted_block_diagonal(), st.sampled_from([5, 101, 3037000493]))
+@example(from_dense([[0, 0, 3, 1, 0], [2, 4, 5, 6, 1], [4, 8, 7, 9, 2]]), 101)
 def test_kernel_mod_spans_the_kernel_mod_q(m, q):
+    # The example swaps rows for its first pivot; its free column 1 lies
+    # between the pivot columns 0 and 2, and free column 4 after them.
     a = _dense_mod(m, q)
     kernel = _kernel_mod(a.copy(), q)
     assert len(kernel) == m.n_cols - _modular_rank_dense(a.copy(), q)
