@@ -25,14 +25,16 @@ equals the true rank with overwhelming probability.
 Modulo a prime, a component with fill at least ``DENSE_FILL`` is scattered,
 its values reduced mod q, into a dense array; a sparser one is eliminated by
 the same Markowitz loop as the fraction-free engine, on its numerators mod q
-(the unit 1/_den does not change a rank), and is not lifted.  Dense
-components narrower than two panels are grouped by shape and laid one under
-another as a (B, m, n) stack, reduced in one pass and ranked by one column
-loop over all slices at once.  Its row update piv·row - f·prow mod q needs
-no inverse and stays in int64, as (q-1)^2 < 2^63.  A wider component is
-ranked by a blocked right-looking LU of exact float64 products, reduced
-lazily, which stops at the first all-zero trailing block; its per-pivot
-loop alone factors a component whose kernel basis is to be lifted.
+(the unit 1/_den does not change a rank), and is not lifted.  Two per-pivot
+loops do the dense work.  Dense components narrower than two panels are
+grouped by shape and laid one under another as a (B, m, n) stack, reduced
+in one pass and ranked by one column loop over all slices at once; its row
+update piv·row - f·prow mod q needs no inverse and stays in int64, as
+(q-1)^2 < 2^63.  A wider component is ranked by a blocked right-looking LU
+of exact float64 products, reduced lazily, which stops at the first all-zero
+trailing block.  The other loop, an in-place LU of one matrix, factors each
+of its panels and its narrow tail, and a component whose kernel basis is to
+be lifted.
 A dense array or stack thus holds at most 8 * nnz / DENSE_FILL bytes, never
 n_rows * n_cols words of the declared shape, and the fraction-free engine
 groups the nonzeros by row, so memory follows nnz throughout.
@@ -458,14 +460,15 @@ def _dense_mod(m: SparseMatrix, q: int) -> np.ndarray:
     return a
 
 
-def _lu_mod(a: np.ndarray, q: int) -> tuple[list[int], list[tuple[int, int]]]:
-    """LU-factor a, entries in [0, q), over F_q in place; return the pivot
-    columns and the row swaps made.  Row i < len(pivots) holds the echelon
-    form U from column pivots[i] on, pivot unscaled; below each pivot sits
-    the multiplier that cleared it, so a[:, pivots] holds the unit lower L."""
+def _lu_mod(a: np.ndarray, q: int, width: int | None = None) -> list[int]:
+    """LU-factor the first ``width`` columns of a (all by default), entries
+    in [0, q) there, over F_q in place, swapping whole rows of a; return
+    the pivot columns.  Row i < len(pivots) holds the echelon form U from
+    column pivots[i] on, pivot unscaled; below each pivot sits the
+    multiplier that cleared it, so a[:, pivots] holds the unit lower L."""
+    width = a.shape[1] if width is None else width
     pivots: list[int] = []
-    swaps: list[tuple[int, int]] = []
-    for c in range(a.shape[1]):
+    for c in range(width):
         r = len(pivots)
         if r == len(a):
             break
@@ -475,14 +478,13 @@ def _lu_mod(a: np.ndarray, q: int) -> tuple[list[int], list[tuple[int, int]]]:
         p = r + int(nz[0])
         if p != r:
             a[[r, p]] = a[[p, r]]
-            swaps.append((r, p))
         # Every row below at once: a dense panel has a nonzero in nearly all.
         below = a[r + 1:, c] = _mod(a[r + 1:, c] * pow(int(a[r, c]), -1, q), q)
-        block = a[r + 1:, c + 1:]
-        block -= below[:, None] * a[r, c + 1:]
+        block = a[r + 1:, c + 1:width]
+        block -= below[:, None] * a[r, c + 1:width]
         block[...] = _mod(block, q)
         pivots.append(c)
-    return pivots, swaps
+    return pivots
 
 
 def _back_substitute(a: np.ndarray, pivots: list[int], q: int) -> None:
@@ -568,29 +570,28 @@ def _modular_rank_dense(a: np.ndarray, q: int) -> int:
     """Total rank over F_q of a, a matrix or a (B, m, n) stack of them,
     entries in [0, q); overwrites a.
 
-    A stack narrower than two panels is ranked by ``_stacked_ranks``, all
-    slices at once.  A wider one is ranked slice by slice by blocked
-    right-looking LU of the wider orientation: while the trailing block is
-    at least two panels wide, ``_lu_mod`` factors a copy of its first PANEL
-    columns, and the rest of the block follows its row swaps.  With
-    S = L11·U11 the k pivot rows on the pivot columns and A21 = L21·U11 the
-    rows below, A21·S^-1 = L21·L11^-1, so the Schur complement
-    A22 - L21·L11^-1·A12 needs no inverse of S.  A row is reduced when it
-    joins a panel or becomes a pivot row, and the whole block every _DRIFT
-    updates; after a panel without pivots, when the block reduced is all
-    zero, the rank found so far is final.  ``_lu_mod`` ranks the last block."""
-    if max(a.shape[-2:]) < 2 * PANEL:
+    A stack, or a matrix narrower than two panels, is ranked by
+    ``_stacked_ranks``, all slices at once.  A wider matrix is ranked by
+    blocked right-looking LU of its wider orientation: while the trailing
+    block is at least two panels wide, its first PANEL columns are reduced
+    and ``_lu_mod`` factors them in place, its row swaps carrying the rest
+    of the block along.  With S = L11·U11 the k pivot rows on the pivot
+    columns and A21 = L21·U11 the rows below, A21·S^-1 = L21·L11^-1, so the
+    Schur complement A22 - L21·L11^-1·A12 needs no inverse of S.  A row is
+    reduced when it joins a panel or becomes a pivot row, and the whole
+    block every _DRIFT updates; after a panel without pivots, when the block
+    reduced is all zero, the rank found so far is final.  ``_lu_mod`` ranks
+    the last block."""
+    if a.ndim == 3 or max(a.shape) < 2 * PANEL:
         return int(_stacked_ranks(a[None] if a.ndim == 2 else a, q).sum())
-    if a.ndim == 3:
-        return sum(_modular_rank_dense(s, q) for s in a)
     if a.shape[0] > a.shape[1]:
         a = np.ascontiguousarray(a.T)
     rank = c = updates = 0
     while a.shape[1] - c >= 2 * PANEL and rank < len(a):
         t = a[rank:, c:]
         c += PANEL
-        panel = _mod(t[:, :PANEL], q)
-        pivots, swaps = _lu_mod(panel, q)
+        t[:, :PANEL] = _mod(t[:, :PANEL], q)
+        pivots = _lu_mod(t, q, width=PANEL)
         k = len(pivots)
         rank += k
         rest = t[:, PANEL:]
@@ -598,9 +599,7 @@ def _modular_rank_dense(a: np.ndarray, q: int) -> int:
         if not k and not np.count_nonzero(_mod(rest, q)):
             return rank
         if 0 < k < len(t):
-            for r, p in swaps:
-                rest[[r, p]] = rest[[p, r]]
-            lower = panel[:, pivots]
+            lower = t[:, pivots]
             w = _mod(_times_mod(_unit_lower_inverse(np.tril(lower[:k], -1), q), q)(lower[k:]), q)
             updates += 1
             if updates > _DRIFT:
@@ -608,14 +607,14 @@ def _modular_rank_dense(a: np.ndarray, q: int) -> int:
             times = _times_mod(_mod(rest[:k], q), q)
             for i in range(0, len(w), CHUNK):
                 rest[k + i:k + i + CHUNK] -= times(w[i:i + CHUNK])
-    return rank + len(_lu_mod(_mod(a[rank:, c:], q), q)[0])
+    return rank + len(_lu_mod(_mod(a[rank:, c:], q), q))
 
 
 def _kernel_mod(a: np.ndarray, q: int) -> np.ndarray:
     """A basis of the right kernel of a over F_q, one row per non-pivot
     column of its echelon form, equal to 1 there and 0 at the other
     non-pivot columns.  Overwrites a."""
-    pivots = _lu_mod(a, q)[0]
+    pivots = _lu_mod(a, q)
     is_pivot = set(pivots)
     free = [c for c in range(a.shape[1]) if c not in is_pivot]
     kernel = np.zeros((len(free), a.shape[1]), dtype=np.int64)

@@ -3,7 +3,9 @@ statement verification suites, scan (k, p) grids for border-rank bounds, and
 emit reproducible text/JSON/CSV reports.
 
 Reports are byte-identical across runs for identical flags and seed.  JSON
-serializes every integer as a decimal string so arbitrary precision survives.
+serializes every integer as a decimal string so arbitrary precision survives;
+``main`` lifts Python's limit on the digits of an int converted to or from a
+string for its run.
 Exit codes: 0 all checks pass or bounds hold, 1 a verification failed,
 2 usage or input error.
 """
@@ -82,6 +84,10 @@ class VerifyCase:
     expected: object
     observed: object
     status: str
+
+
+# --primes accepts 1..MAX_PRIMES; each modular rank draws that many primes.
+MAX_PRIMES = 64
 
 
 @dataclass
@@ -727,7 +733,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--modular", action="store_true",
                       help="force randomized modular rank")
     common.add_argument("--primes", type=int, default=2,
-                        help="number of random primes for modular ranks")
+                        help=f"number of random primes for modular ranks (1 to {MAX_PRIMES})")
     common.add_argument("--budget-cols", type=int, default=2000,
                         help="skip or reject matrices wider than this")
     common.add_argument("--out", default=None, help="write the report to a file")
@@ -791,14 +797,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # Exact integers of any length: lift the interpreter's limit on int <-> str
+    # conversion, where it has one, for the run, then restore it.
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        return _run(build_parser().parse_args(argv))
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+def _run(args: argparse.Namespace) -> int:
     opts = RankOptions(
         force="exact" if args.exact else "modular" if args.modular else None,
         primes=args.primes,
         budget_cols=args.budget_cols,
     )
     try:
+        # Checked before any work: a modular rank draws this many primes.
+        if not 1 <= args.primes <= MAX_PRIMES:
+            raise ValueError(f"--primes must be between 1 and {MAX_PRIMES}")
         if args.command == "verify":
             cases = run_verify(args.statement, _parse_caps(args.cap), args.seed, opts)
             _emit(_render("verify", args.format, args.seed, cases=cases,

@@ -487,22 +487,24 @@ def test_dense_kernel_stops_at_the_first_all_zero_trailing_block():
     assert a.shape == (90, 2520)
     with mock.patch.object(exactla, "_lu_mod", wraps=exactla._lu_mod) as lu:
         assert _modular_rank_dense(a, q) == 84
-    panels = [call for call in lu.call_args_list if call.args[0].shape[1] == PANEL]
+    panels = [call for call in lu.call_args_list if call.kwargs.get("width") == PANEL]
     assert len(panels) <= 4
 
 
 def test_blocked_path_runs_one_pivot_loop_per_panel():
     # 70 x 138 of full rank: panels of 70, 38 and 6 rows find 32, 32 and 6
-    # pivots, then the narrow tail has no rows left.  The pivot loop sees
-    # each panel once and nothing else, no [S | I] block; the multipliers
-    # of the two panels with rows below their pivots are inverted, not S.
+    # pivots, then the narrow tail has no rows left.  The pivot loop factors
+    # each panel once, in place in the trailing block it is handed, and
+    # nothing else, no [S | I] block; the multipliers of the two panels
+    # with rows below their pivots are inverted, not S.
     a = np.random.default_rng(2).integers(0, 101, (70, 4 * PANEL + 10))
     with mock.patch.object(exactla, "_lu_mod", wraps=exactla._lu_mod) as lu, \
             mock.patch.object(exactla, "_unit_lower_inverse",
                               wraps=exactla._unit_lower_inverse) as inverse:
         assert _modular_rank_dense(a, 101) == 70
-    assert [call.args[0].shape for call in lu.call_args_list] == [
-        (70, PANEL), (38, PANEL), (6, PANEL), (0, PANEL + 10)]
+    assert [(call.args[0].shape, call.kwargs.get("width")) for call in lu.call_args_list] == [
+        ((70, 4 * PANEL + 10), PANEL), ((38, 3 * PANEL + 10), PANEL),
+        ((6, 2 * PANEL + 10), PANEL), ((0, PANEL + 10), None)]
     assert [call.args[0].shape for call in inverse.call_args_list] == [(PANEL, PANEL)] * 2
 
 
@@ -544,7 +546,7 @@ def slice_stacks(draw):
 @example((np.random.default_rng(3).integers(0, 5, (3, 2 * PANEL + 3, 6)), 5))
 def test_stacked_ranks_match_the_sparse_oracle_slice_by_slice(case):
     # The inverse-free update multiplies two residues, at most (q-1)^2.  A
-    # stack two panels tall goes through the blocked kernel slice by slice.
+    # stack two panels tall is ranked by the same stacked loop.
     assert (PRIME_CEIL - 1) ** 2 < 2**63
     a, q = case
     expected = [_markowitz_rank([{j: v for j, v in enumerate(row) if v} for row in s.tolist()],
@@ -564,6 +566,33 @@ def test_rank_modular_reduces_and_ranks_each_component_shape_once_per_prime():
     assert len(components) > 2 * len(shapes)
     assert reduce.call_count <= 2 * len(shapes)
     assert rank.call_count <= 2 * len(shapes)
+
+
+def test_modular_ranker_stacks_only_shapes_under_two_panels():
+    # Block diagonal: three 70 x 70 components (one of rank 40), four 5 x 7
+    # and three 9 x 4.  The repeated small shapes are stacked; the repeated
+    # wide one is not, and each copy reaches the panel loop on its own.
+    rng = np.random.default_rng(8)
+    blocks = [rng.integers(1, 50, (70, 70)) for _ in range(2)]
+    blocks.append(rng.integers(1, 4, (70, 40)) @ rng.integers(1, 4, (40, 70)))
+    blocks += [rng.integers(1, 9, (5, 7)) for _ in range(4)]
+    blocks += [rng.integers(1, 9, (9, 4)) for _ in range(3)]
+    entries, i0, j0 = [], 0, 0
+    for b in blocks:
+        entries += [(i0 + i, j0 + j, int(v)) for (i, j), v in np.ndenumerate(b)]
+        i0, j0 = i0 + b.shape[0], j0 + b.shape[1]
+    m = SparseMatrix(i0, j0, entries)
+    rows = _integer_rows(m)
+    for q in (101, 3037000493):
+        with mock.patch.object(exactla, "_stacked_ranks", wraps=_stacked_ranks) as stacked, \
+                mock.patch.object(exactla, "_lu_mod", wraps=exactla._lu_mod) as lu:
+            rank = _modular_ranker(_components(m))(q)
+        assert sorted(call.args[0].shape for call in stacked.call_args_list) == [
+            (3, 9, 4), (4, 5, 7)]
+        assert [call.args[0].shape for call in lu.call_args_list
+                if call.kwargs.get("width") == PANEL].count((70, 70)) == 3
+        assert rank == _markowitz_rank([{j: v % q for j, v in row.items() if v % q}
+                                        for row in rows], _modular_update(q))
 
 
 @settings(max_examples=60, deadline=None)

@@ -4,11 +4,14 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
-from flatrank import labcli
+from flatrank import exactla, labcli
+from flatrank.formulas import permcom_gap
 from flatrank.labcli import (
     RankOptions,
     VerifyCase,
@@ -94,6 +97,37 @@ def test_rank_file_modular_ignores_declared_shape(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "rank", str(path), "--modular")
     assert code == 0
     assert "rank: 3" in out
+
+@pytest.mark.parametrize("primes", ["0", "65", "100000000"])
+def test_primes_outside_1_to_64_exit_2_before_any_prime_is_drawn(capsys, tmp_path, primes):
+    # A prime drawn fails the test at once instead of hanging on 10^8 draws.
+    path = tmp_path / "diagonal.txt"
+    path.write_text("%%flatrank coordinate rational\n2 2 2\n1 1 1\n2 2 3\n")
+    with mock.patch.object(exactla, "random_prime", side_effect=AssertionError("prime drawn")):
+        for argv in (["rank", str(path), "--modular"], ["verify", "nontrivial"]):
+            code, out, err = run_cli(capsys, *argv, "--primes", primes)
+            assert (code, out) == (2, "")
+            assert "--primes must be between 1 and 64" in err
+    code, out, _ = run_cli(capsys, "rank", str(path), "--modular", "--primes", "64")
+    assert code == 0 and "rank: 2" in out
+
+
+def test_exact_integers_of_any_length_survive_the_cli(capsys):
+    # The ratio has 18,059 digits, past the interpreter's default limit of
+    # 4300 on int <-> str conversion, which main lifts for its run.
+    code, out, err = run_cli(capsys, "bounds", "--family", "perm-gap", "--n", "30000",
+                             "--delta1", "2", "--r", "30000", "--format", "json")
+    assert code == 0, err
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        ratio = Fraction(json.loads(out)["result"]["ratio"])
+        assert ratio == permcom_gap(30000, 30000, 2)[0]
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
 
 def test_rank_file_input_errors_exit_2(capsys, tmp_path):
     path = tmp_path / "bad.txt"
