@@ -249,6 +249,8 @@ def permcom_gap(n: int, r: int, delta1: int) -> tuple[Fraction, float]:
     middle flattening rank and the power-sum-power upper bound, plus its
     base-2 logarithm for display.  Reports the ratio whichever side of 1 it
     falls on."""
+    if n < 2:
+        raise ValueError("n must be at least 2")
     if delta1 < 1 or n % delta1:
         raise ValueError("delta1 must divide n")
     if r < n:

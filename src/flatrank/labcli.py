@@ -487,38 +487,29 @@ def run_flatten(args, seed: int, opts: RankOptions) -> dict:
     if args.dump_matrix:
         with open(args.dump_matrix, "w", encoding="utf-8") as handle:
             handle.write(matrix.to_coordinate_text())
-    out = {
-        "subject": P.to_text(),
-        "kind": args.kind,
-        "k": args.k,
-        "n_rows": matrix.n_rows,
-        "n_cols": matrix.n_cols,
-        "nnz": matrix.nnz,
-        "rank": result.rank,
-        "method": result.method,
-        "certified_lower_bound": result.is_certified_lower_bound,
-    }
-    if args.kind == "shifted":
-        out["ell"] = args.ell
-    if args.kind == "koszul":
-        out["p"] = args.p
-    if result.primes_used:
-        out["primes_used"] = list(result.primes_used)
-    return out
+    head = {"subject": P.to_text(), "kind": args.kind, "k": args.k}
+    tail = {"shifted": {"ell": args.ell}, "koszul": {"p": args.p}}.get(args.kind, {})
+    return _rank_report(head, matrix, result, **tail)
 
 
 def run_rank_file(path: str, seed: int, opts: RankOptions) -> dict:
     with open(path, "r", encoding="utf-8") as handle:
         matrix = SparseMatrix.from_coordinate_text(handle.read())
-    result = _policy_rank(matrix, opts, seed)
+    return _rank_report({"file": path}, matrix, _policy_rank(matrix, opts, seed))
+
+
+def _rank_report(head: dict, matrix: SparseMatrix, result: RankResult, **tail) -> dict:
+    """``head``, then the matrix's size and rank fields, then ``tail``, then
+    the primes of a modular rank: the key order of the report."""
     out = {
-        "file": path,
+        **head,
         "n_rows": matrix.n_rows,
         "n_cols": matrix.n_cols,
         "nnz": matrix.nnz,
         "rank": result.rank,
         "method": result.method,
         "certified_lower_bound": result.is_certified_lower_bound,
+        **tail,
     }
     if result.primes_used:
         out["primes_used"] = list(result.primes_used)

@@ -323,6 +323,22 @@ def test_rank_exact_lift_gives_up_on_large_generic_kernels():
     assert fallback.call_count == 1
 
 
+def test_rank_exact_closes_a_sparse_component_by_its_full_rank_mod_q():
+    # A 60 x 60 cyclic bidiagonal matrix is one component of fill 1/30,
+    # below DENSE_FILL, so it is ranked sparsely mod q and never lifted; its
+    # full rank mod q alone closes it, without fraction-free elimination.
+    rng = random.Random(5)
+    n = 60
+    entries = [(i, j, rng.randint(1, 2**31)) for i in range(n) for j in (i, (i + 1) % n)]
+    m = SparseMatrix(n, n, entries)
+    assert m.nnz < exactla.DENSE_FILL * n * n
+    assert len(_components(m)) == 1
+    assert fraction_free_rank(m) == n
+    with mock.patch.object(exactla, "_sparse_integer_rank", side_effect=AssertionError), \
+            mock.patch.object(exactla, "_lifted_rank", side_effect=AssertionError):
+        assert rank_exact(m).rank == n
+
+
 def test_rank_exact_draws_a_prime_only_for_components_that_need_one():
     # Two 1x1 blocks, a 1x3 row and a 3x1 column: every component has rank 1.
     thin = [(0, 0, 5), (1, 1, Fraction(1, 3)), (2, 2, 1), (2, 3, 2), (2, 4, 3),
@@ -544,6 +560,10 @@ def slice_stacks(draw):
 @example((np.full((3, 1, 5), 3037000492), 3037000493))
 @example((np.full((2, 2 * PANEL - 1, 7), 3037000492), 3037000493))
 @example((np.random.default_rng(3).integers(0, 5, (3, 2 * PANEL + 3, 6)), 5))
+# A marked row holds the only nonzero of a later column: it is no pivot again.
+@example((np.array([[[1, 1], [0, 0], [0, 0]]], dtype=np.int64), 5))
+# A later pivot sits above an earlier one.
+@example((np.array([[[0, 1], [1, 0], [0, 0]]], dtype=np.int64), 5))
 def test_stacked_ranks_match_the_sparse_oracle_slice_by_slice(case):
     # The inverse-free update multiplies two residues, at most (q-1)^2.  A
     # stack two panels tall is ranked by the same stacked loop.

@@ -124,6 +124,24 @@ def test_secant_chow_koszul_ub():
         secant_chow_koszul_ub(1, 3, 1, 1)
 
 
+def test_secant_chow_koszul_ub_bounds_every_small_cell():
+    # The general expression, (k, p) != (1, 1), against exact Koszul ranks
+    # of the sum of products at every cell of at most 3000 columns.
+    cells = equal = 0
+    for d, r in itertools.product((3, 4), (2, 3)):
+        P = gen_sum_of_products(r, d)
+        for k, p in itertools.product(range(1, d), repeat=2):
+            n_cols = binomial(k + P.n_vars - 1, k) * binomial(P.n_vars, p)
+            if (k, p) == (1, 1) or n_cols > 3000:
+                continue
+            rank = rank_exact(koszul_flattening(P, k, p)).rank
+            bound = secant_chow_koszul_ub(r, d, k, p)
+            assert rank <= bound, (d, r, k, p)
+            cells += 1
+            equal += rank == bound
+    assert (cells, equal) == (15, 2)
+
+
 def test_generic_kyfl11_rank_and_kernel():
     assert generic_kyfl11_rank(2) == 3
     assert generic_kyfl11_rank(3) == 8
@@ -234,3 +252,10 @@ def test_permcom_gap_values():
     assert ratio < 1
     with pytest.raises(ValueError):
         permcom_gap(9, 9, 2)  # delta1 must divide n
+
+
+@pytest.mark.parametrize("n, r, delta1", [(1, 1, 1), (0, 0, 1)])
+def test_permcom_gap_refuses_n_below_two(n, r, delta1):
+    # n // 2 = 0 would put a zero in the ratio's denominator.
+    with pytest.raises(ValueError, match="n must be at least 2"):
+        permcom_gap(n, r, delta1)

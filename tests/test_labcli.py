@@ -254,6 +254,14 @@ def test_scan_degree_five_discrepancy_is_noted_not_failed(capsys):
     assert "discrepancy_noted" in out
 
 
+def test_scan_warns_when_the_ambient_dimension_exceeds_the_degree(capsys):
+    code, out, _ = run_cli(capsys, "scan", "x1*x2 + x3^2")
+    assert code == 0
+    assert "warning: ambient dimension exceeds the degree" in out
+    code, out, _ = run_cli(capsys, "scan", "x1*x2*x3")
+    assert "warning" not in out
+
+
 def test_scan_respects_budget(capsys):
     code, out, _ = run_cli(capsys, "scan", "x1*x2*x3*x4*x5", "--budget-cols", "60")
     assert code == 0
@@ -343,6 +351,23 @@ def test_bounds_families(capsys):
     assert "gap_exceeds_one: False" in out
     code, _, err = run_cli(capsys, "bounds", "--family", "powersum", "--r", "2")
     assert code == 2
+
+
+@pytest.mark.parametrize("n, r", [("1", "1"), ("0", "0")])
+def test_bounds_perm_gap_refuses_n_below_two_with_exit_2(capsys, n, r):
+    code, out, err = run_cli(capsys, "bounds", "--family", "perm-gap", "--n", n,
+                             "--delta1", "1", "--r", r)
+    assert (code, out) == (2, "")
+    assert "n must be at least 2" in err
+
+
+def test_bounds_powersum_reports_the_coarse_pair(capsys):
+    code, out, _ = run_cli(
+        capsys, "bounds", "--family", "powersum",
+        "--r", "4", "--delta1", "2", "--delta2", "2", "--k", "2",
+    )
+    assert code == 0
+    assert "coarse_lower: 6" in out and "coarse_upper: 12" in out
 
 
 def test_permanent_subcommand(capsys):
