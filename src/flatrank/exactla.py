@@ -6,7 +6,10 @@ numerators over one denominator ``_den``.  Its rank over the rationals, or
 mod any prime q not dividing ``_den``, is the rank of the numerators, so no
 engine splits a fraction.  Both engines split the matrix once, by array
 operations, into the connected components of its bipartite row/column graph,
-each compacted to the rows and columns it touches, and sum their ranks.
+each compacted to the rows and columns it touches, and group equal
+components: two components with equal local row, column and value arrays
+are the same matrix, of the same rank over Q and mod every q.  Each distinct
+component is ranked once, and its rank counted as often as it occurs.
 
 ``rank_exact`` returns the true rank over the rationals, by certificate where
 it can.  A component with one row or one column has rank 1.  Any other is
@@ -25,19 +28,15 @@ equals the true rank with overwhelming probability.
 Modulo a prime, a component with fill at least ``DENSE_FILL`` is scattered,
 its values reduced mod q, into a dense array; a sparser one is eliminated by
 the same Markowitz loop as the fraction-free engine, on its numerators mod q
-(the unit 1/_den does not change a rank), and is not lifted.  Two per-pivot
-loops do the dense work.  Dense components narrower than two panels are
-grouped by shape and laid one under another as a (B, m, n) stack, reduced
-in one pass and ranked by one column loop over all slices at once, which
-marks pivot rows and swaps none; its row update piv·row - f·prow mod q needs
-no inverse and stays in int64, as (q-1)^2 < 2^63.  A wider component is
-ranked by a blocked right-looking LU of exact float64 products, reduced
-lazily, which stops at the first all-zero trailing block.  The other loop,
-an in-place LU of one matrix, factors each of its panels and its narrow
-tail, and a component whose kernel basis is to be lifted.  A dense array or
-stack thus holds at most 8 * nnz / DENSE_FILL bytes, never n_rows * n_cols
-words of the declared shape, and the fraction-free engine groups the
-nonzeros by row, so memory follows nnz throughout.
+(the unit 1/_den does not change a rank), and is not lifted.  One per-pivot
+loop does the dense work: an in-place LU of one matrix.  A component at
+least two panels wide is ranked by a blocked right-looking LU of exact
+float64 products, reduced lazily, which stops at the first all-zero
+trailing block; the loop factors each of its panels and its narrow tail,
+every narrower component whole, and a component whose kernel basis is to
+be lifted.  A dense array thus holds at most 8 * nnz / DENSE_FILL bytes,
+never n_rows * n_cols words of the declared shape, and the fraction-free
+engine groups the nonzeros by row, so memory follows nnz throughout.
 """
 
 from __future__ import annotations
@@ -533,42 +532,10 @@ def _unit_lower_inverse(n: np.ndarray, q: int) -> np.ndarray:
     return inverse
 
 
-def _stacked_ranks(a: np.ndarray, q: int) -> np.ndarray:
-    """The rank over F_q of each slice of the (B, m, n) stack a, entries in
-    [0, q); overwrites a.
-
-    One loop over the columns of the tall orientation eliminates every
-    slice at once and swaps no rows.  Each slice's pivot is its first
-    unmarked row with a nonzero in the column; that row is marked, and each
-    unmarked row r becomes piv·r - r[c]·prow mod q, with no inverse and in
-    int64: both products are at most (q-1)^2 < 2^63.  A slice's rank is its
-    number of marked rows; they are only scaled by piv and never read again."""
-    if a.shape[1] < a.shape[2]:
-        a = np.ascontiguousarray(a.transpose(0, 2, 1))
-    slices, marked = np.arange(len(a)), np.zeros(a.shape[:2], dtype=bool)
-    for c in range(a.shape[2]):
-        col = a[:, :, c]
-        live = (col != 0) & ~marked
-        p = live.argmax(axis=1)
-        has = live[slices, p]
-        marked[slices, p] |= has
-        piv = np.where(has, col[slices, p], 1)
-        f = np.where(marked, 0, col)
-        prow = a[slices, p, c + 1:]
-        t = a[:, :, c + 1:]
-        t *= piv[:, None, None]
-        t -= f[:, :, None] * prow[:, None, :]
-        t[...] = _mod(t, q)
-    return marked.sum(axis=1)
-
-
 def _modular_rank_dense(a: np.ndarray, q: int) -> int:
-    """Total rank over F_q of a, a matrix or a (B, m, n) stack of them,
-    entries in [0, q); overwrites a.
+    """Rank over F_q of the matrix a, entries in [0, q); overwrites a.
 
-    A stack, or a matrix narrower than two panels, is ranked by
-    ``_stacked_ranks``, all slices at once.  A wider matrix is ranked by
-    blocked right-looking LU of its wider orientation: while the trailing
+    Blocked right-looking LU of a's wider orientation: while the trailing
     block is at least two panels wide, its first PANEL columns are reduced
     and ``_lu_mod`` factors them in place, its row swaps carrying the rest
     of the block along.  With S = L11·U11 the k pivot rows on the pivot
@@ -577,9 +544,7 @@ def _modular_rank_dense(a: np.ndarray, q: int) -> int:
     reduced when it joins a panel or becomes a pivot row, and the whole
     block every _DRIFT updates; after a panel without pivots, when the block
     reduced is all zero, the rank found so far is final.  ``_lu_mod`` ranks
-    the last block."""
-    if a.ndim == 3 or max(a.shape) < 2 * PANEL:
-        return int(_stacked_ranks(a[None] if a.ndim == 2 else a, q).sum())
+    the last block, all of a when a is narrower than two panels."""
     if a.shape[0] > a.shape[1]:
         a = np.ascontiguousarray(a.T)
     rank = c = updates = 0
@@ -628,13 +593,15 @@ def _kernel_mod(a: np.ndarray, q: int) -> np.ndarray:
 
 def _component_labels(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
     """A label per node of the graph on nodes 0..n-1 with edges (u[e], v[e]),
-    equal exactly for nodes in the same connected component."""
+    equal exactly for nodes in the same connected component: the components
+    are numbered 0, 1, ... in the order of their smallest nodes."""
     label = np.arange(n)
     while True:
         lu, lv = label[u], label[v]
         cross = lu != lv
         if not cross.any():
-            return label
+            # Each label is its component's smallest node, its own label.
+            return (np.cumsum(label == np.arange(n)) - 1)[label]
         # Every label is a root here: hook each larger root below a smaller
         # neighbour, then jump pointers until every label is a root again.
         np.minimum.at(label, np.maximum(lu, lv)[cross], np.minimum(lu, lv)[cross])
@@ -654,76 +621,98 @@ def _positions(groups: np.ndarray, n_groups: int) -> np.ndarray:
     return pos
 
 
-def _components(m: SparseMatrix) -> list[SparseMatrix]:
-    """The connected components of the bipartite row/column graph of m's
-    nonzeros, each compacted to the rows and columns it touches.
+def _runs(ordered: np.ndarray) -> Iterable[tuple[int, int]]:
+    """(start, end) of each run of equal items in ``ordered``."""
+    cuts = (np.flatnonzero(ordered[1:] != ordered[:-1]) + 1).tolist()
+    return zip([0, *cuts], [*cuts, ordered.size])
+
+
+def _components(m: SparseMatrix) -> list[tuple[SparseMatrix, int]]:
+    """The distinct connected components of the bipartite row/column graph
+    of m's nonzeros, each compacted to the rows and columns it touches, with
+    the number of times it occurs.
 
     The rank of m, over Q or mod any q, is the sum of the component ranks:
-    an entry that vanishes mod q can only split a component further.
+    an entry that vanishes mod q can only split a component further.  Two
+    components are the same matrix, of the same rank over Q and mod every
+    q, exactly when their local row, column and value arrays are equal; as
+    a component touches every row and column it is compacted to, those
+    arrays fix its shape too.  So only components of equal nnz are compared,
+    as one row of their stacked arrays each.
     """
     if not m.nnz:
         return []
-    rows, ri = np.unique(m._rows, return_inverse=True)
+    # The rows are sorted: an entry's index among the rows in use counts the
+    # changes of row before it.
+    ri = np.zeros(m.nnz, dtype=np.int64)
+    np.cumsum(m._rows[1:] != m._rows[:-1], out=ri[1:])
+    n_r = int(ri[-1]) + 1
     cols, cj = np.unique(m._cols, return_inverse=True)
-    n_r = rows.size
-    labels, comp = np.unique(_component_labels(ri, cj + n_r, n_r + cols.size),
-                             return_inverse=True)
-    if labels.size == 1 and (n_r, cols.size) == (m.n_rows, m.n_cols):
-        return [m]
+    comp = _component_labels(ri, cj + n_r, n_r + cols.size)
+    n_comp = int(comp.max()) + 1
+    if n_comp == 1 and (n_r, cols.size) == (m.n_rows, m.n_cols):
+        return [(m, 1)]
     row_comp, col_comp = comp[:n_r], comp[n_r:]
-    row_pos, col_pos = _positions(row_comp, labels.size), _positions(col_comp, labels.size)
+    row_pos, col_pos = _positions(row_comp, n_comp), _positions(col_comp, n_comp)
     entry_comp = row_comp[ri]
-    # A stable sort keeps each component's entries row-major.
-    order = np.argsort(entry_comp, kind="stable")
-    ends = np.cumsum(np.bincount(entry_comp, minlength=labels.size)).tolist()
+    nnz = np.bincount(entry_comp, minlength=n_comp)
+    # Components in order of nnz, and a stable sort of the entries by that
+    # order, which keeps each component's entries row-major: the components
+    # of one nnz k take one run of entries, k per component.
+    by_nnz = np.argsort(nnz, kind="stable")
+    slot = np.empty_like(by_nnz)
+    slot[by_nnz] = np.arange(n_comp)
+    order = np.argsort(slot[entry_comp], kind="stable")
     local_rows, local_cols, values = row_pos[ri][order], col_pos[cj][order], m._values[order]
-    n_rows = np.bincount(row_comp, minlength=labels.size).tolist()
-    n_cols = np.bincount(col_comp, minlength=labels.size).tolist()
-    return [SparseMatrix._wrap(r, c, local_rows[a:b], local_cols[a:b], values[a:b], den=m._den)
-            for r, c, a, b in zip(n_rows, n_cols, [0, *ends], ends)]
+    # Python ints beyond int64 compare through their ids among m's values.
+    ids = np.unique(values, return_inverse=True)[1] if values.dtype == object else values
+    sizes = nnz[by_nnz]
+    n_rows = np.bincount(row_comp, minlength=n_comp)[by_nnz].tolist()
+    n_cols = np.bincount(col_comp, minlength=n_comp)[by_nnz].tolist()
+    distinct, start = [], 0
+    for a, b in _runs(sizes):
+        k = int(sizes[a])
+        end = start + (b - a) * k
+        same, runs = [0], [(0, 1)]
+        if b - a > 1:
+            # One row of bytes per component: equal rows are equal components.
+            block = np.stack((local_rows[start:end], local_cols[start:end], ids[start:end]), 1)
+            keys = block.reshape(b - a, 3 * k).view(np.dtype((np.void, 24 * k))).ravel()
+            same = np.argsort(keys, kind="stable")
+            runs = _runs(keys[same])
+        for first, last in runs:
+            i = int(same[first])
+            c, e = a + i, start + i * k
+            distinct.append((SparseMatrix._wrap(n_rows[c], n_cols[c], local_rows[e:e + k],
+                                                local_cols[e:e + k], values[e:e + k], den=m._den),
+                             last - first))
+        start = end
+    return distinct
 
 
-def _modular_ranker(components: Sequence[SparseMatrix]) -> Callable[[int], int]:
-    """The map q -> rank mod q of the matrix ``components`` split, for q
-    dividing no ``_den``.
+def _modular_ranker(components: Sequence[tuple[SparseMatrix, int]]) -> Callable[[int], int]:
+    """The map q -> rank mod q of the matrix split into ``components``,
+    (component, count) pairs as ``_components`` returns them, for q
+    dividing no ``_den``: the sum of count x rank, each distinct component
+    reduced and ranked once per prime.
 
-    A component whose fill reaches DENSE_FILL goes to the dense kernel; a
-    sparser one is eliminated sparsely over F_q.  Dense components narrower
-    than two panels are grouped by shape, and each group is laid out once,
-    one component under another, then reduced and ranked as one stack per
-    prime; a stack takes the cells of its components, so at most
-    8 * nnz / DENSE_FILL bytes.
+    A component whose fill reaches DENSE_FILL goes to the dense kernel, in
+    an array of its own cells, so at most 8 * nnz / DENSE_FILL bytes; a
+    sparser one is eliminated sparsely over F_q.
     """
-    sparse, dense = [], []
-    stacks: dict[tuple[int, int], list[SparseMatrix]] = {}
-    for comp in components:
-        shape = comp.n_rows, comp.n_cols
-        if comp.nnz < DENSE_FILL * comp.n_rows * comp.n_cols:
-            sparse.append(comp)
-        elif max(shape) < 2 * PANEL:
-            stacks.setdefault(shape, []).append(comp)
-        else:
-            dense.append((comp, shape))
-    for (n_rows, n_cols), group in stacks.items():
-        slots = np.repeat(np.arange(len(group)) * n_rows, [comp.nnz for comp in group])
-        stack = SparseMatrix._wrap(
-            len(group) * n_rows, n_cols,
-            np.concatenate([comp._rows for comp in group]) + slots,
-            np.concatenate([comp._cols for comp in group]),
-            np.concatenate([comp._values for comp in group]), den=group[0]._den)
-        dense.append((stack, (len(group), n_rows, n_cols)))
-
     def rank(q: int) -> int:
-        total = sum(_modular_rank_dense(_dense_mod(m, q).reshape(shape), q)
-                    for m, shape in dense)
+        total = 0
         update = _modular_update(q)
-        for comp in sparse:
+        for comp, count in components:
+            if comp.nnz >= DENSE_FILL * comp.n_rows * comp.n_cols:
+                total += count * _modular_rank_dense(_dense_mod(comp, q), q)
+                continue
             rows: dict[int, dict[int, int]] = {}
             residues = _mod(comp._values, q).tolist()
             for i, j, r in zip(comp._rows.tolist(), comp._cols.tolist(), residues):
                 if r:
                     rows.setdefault(i, {})[j] = r
-            total += _markowitz_rank(list(rows.values()), update)
+            total += count * _markowitz_rank(list(rows.values()), update)
         return total
     return rank
 
@@ -826,7 +815,7 @@ def _component_rank(comp: SparseMatrix, q: int) -> int:
         lifted = _lifted_rank(comp, q)
         if lifted is not None:
             return lifted
-    elif _modular_ranker([comp])(q) == min(comp.n_rows, comp.n_cols):
+    elif _modular_ranker([(comp, 1)])(q) == min(comp.n_rows, comp.n_cols):
         return min(comp.n_rows, comp.n_cols)
     return _sparse_integer_rank(_integer_rows(comp))
 
@@ -834,7 +823,8 @@ def _component_rank(comp: SparseMatrix, q: int) -> int:
 def rank_exact(m: SparseMatrix) -> RankResult:
     """True rank over the rationals, summed over the connected components.
 
-    A component with one row or one column has rank 1.  Any other is ranked
+    A component with one row or one column has rank 1.  Any other is
+    certified once however often it occurs (see ``_components``), and ranked
     mod one prime, the first drawn from CERTIFICATE_SEED that does not divide
     m's denominator (the first draw is made once per process): that rank is
     a lower bound, and it is exact when it reaches the shape's bound or when
@@ -847,15 +837,15 @@ def rank_exact(m: SparseMatrix) -> RankResult:
         return RankResult(_sparse_integer_rank(_integer_rows(m)), "exact_rational")
     rank = 0
     q = None
-    for comp in _components(m):
+    for comp, count in _components(m):
         if min(comp.n_rows, comp.n_cols) == 1:
-            rank += 1
+            rank += count
             continue
         if q is None:
             q = _certificate_prime()
             if m._den % q == 0:
                 q = _draw_prime(random.Random(CERTIFICATE_SEED), m._den)
-        rank += _component_rank(comp, q)
+        rank += count * _component_rank(comp, q)
     return RankResult(rank, "exact_rational")
 
 

@@ -89,6 +89,13 @@ class VerifyCase:
 # --primes accepts 1..MAX_PRIMES; each modular rank draws that many primes.
 MAX_PRIMES = 64
 
+# bounds refuses arguments whose closed forms would run for minutes: sizes
+# in bits, estimated with logarithms before any large integer is formed.
+# odd-product makes O(n) operations on integers the size of (2n+1)!, and
+# perm-gap a few on C(n, n//2)^2 and (r·(n//2))^delta1.
+ODD_PRODUCT_MAX_BITS = 2**15
+PERM_GAP_MAX_BITS = 2**20
+
 
 @dataclass
 class RankOptions:
@@ -516,12 +523,23 @@ def _rank_report(head: dict, matrix: SparseMatrix, result: RankResult, **tail) -
     return out
 
 
+def _log2_binomial(n: int, k: int) -> float:
+    return (math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)) / math.log(2)
+
+
+def _check_bits(family: str, bits: float, limit: int) -> None:
+    if bits > limit:
+        raise ValueError(f"{family} would compute with integers of about {bits:.0f} bits, "
+                         f"over its limit of {limit}; choose smaller arguments")
+
+
 def run_bounds(args, seed: int, opts: RankOptions) -> dict:
     if args.family == "odd-product":
         n = args.n
         if n is None or n < 1:
             raise ValueError("odd-product needs --n >= 1")
         d = 2 * n + 1
+        _check_bits("odd-product", math.lgamma(d + 1) / math.log(2), ODD_PRODUCT_MAX_BITS)
         bound = chowsrank_bound(n)
         ratio = Fraction(S_formula(n, d, n), binomial(d - 1, n))
         return {
@@ -556,6 +574,10 @@ def run_bounds(args, seed: int, opts: RankOptions) -> dict:
         for name in ("n", "delta1", "r"):
             if getattr(args, name) is None:
                 raise ValueError(f"perm-gap needs --{name}")
+        half = args.n // 2
+        if args.n >= 2 and args.r >= 1:
+            _check_bits("perm-gap", 2 * _log2_binomial(args.n, half)
+                        + args.delta1 * math.log2(args.r * half), PERM_GAP_MAX_BITS)
         ratio, log_ratio = permcom_gap(args.n, args.r, args.delta1)
         return {
             "family": "perm-gap",

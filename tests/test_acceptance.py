@@ -329,8 +329,9 @@ def test_block_sum_consistency_full_grid():
         product = gen_product(d)
         for k in range(1, d):
             for p in range(1, d):
-                components = _components(koszul_flattening(product, k, p))
-                ranks = Counter(rank_exact(c).rank for c in components)
+                ranks = Counter()
+                for c, count in _components(koszul_flattening(product, k, p)):
+                    ranks[rank_exact(c).rank] += count
                 if (ranks != expected_component_ranks(d, k, p)
                         or sum(r * n for r, n in ranks.items()) != S_formula(p, d, k)):
                     failures.append((d, k, p))

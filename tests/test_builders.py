@@ -294,7 +294,8 @@ def test_building_and_ranking_never_run_the_checked_constructor(monkeypatch):
     built = [cat, shifted_partials(parse_poly("x1^3 - 2/3*x1*x2*x3", 3), 1, 1), product,
              exterior_derivative(2, 1, 3), cat.multiply(cat),
              exterior_derivative(1, 1, 3).multiply(exterior_derivative(2, 0, 3))]
-    assert len(_components(cat)) == 1 and len(_components(product)) == 7
+    assert len(_components(cat)) == 1
+    assert sum(count for _, count in _components(product)) == 7
     ranks = [(rank_exact(m).rank, rank_modular(m).rank) for m in built]
     # x2 * d/dx2 and x3 * d/dx3 meet in x1*x2*x3; the Koszul complex is exact.
     assert ranks == [(6, 6), (8, 8), (8, 8), (8, 8), (6, 6), (0, 0)]

@@ -36,7 +36,6 @@ from flatrank.exactla import (
     _modular_ranker,
     _modular_update,
     _sparse_integer_rank,
-    _stacked_ranks,
     _times_mod,
 )
 from flatrank.koszul import koszul_flattening
@@ -237,9 +236,9 @@ def test_component_rank_mod_q_matches_dense_kernel(m, q):
     assert is_prime(q)
     reference = _modular_rank_dense(_dense_mod(m, q), q)
     components = _components(m)
-    assert len(components) == union_find_components(m)
-    assert all(c == SparseMatrix(c.n_rows, c.n_cols, c.entries()) for c in components)
-    assert sum(c.nnz for c in components) == m.nnz
+    assert sum(count for _, count in components) == union_find_components(m)
+    assert all(c == SparseMatrix(c.n_rows, c.n_cols, c.entries()) for c, _ in components)
+    assert sum(count * c.nnz for c, count in components) == m.nnz
     assert _modular_ranker(components)(q) == reference
     # Every component through the sparse F_q loop, then through the dense kernel.
     for fill in (2.0, 0.0):
@@ -290,7 +289,7 @@ def test_rank_exact_falls_back_when_the_prime_divides_an_entry():
     # the 1 above the diagonal keeps a single component.
     q = CERTIFICATE_PRIME
     m = from_dense([[q, 1], [0, 1]])
-    assert _modular_ranker([m])(q) == 1
+    assert _modular_ranker([(m, 1)])(q) == 1
     assert exactla._lifted_rank(m, q) is None
     with mock.patch.object(exactla, "_sparse_integer_rank",
                            wraps=_sparse_integer_rank) as fallback:
@@ -315,7 +314,7 @@ def test_rank_exact_lift_gives_up_on_large_generic_kernels():
     c = [[rng.randint(1, 2**31) for _ in range(5)] for _ in range(3)]
     rows = [[sum(b[i][t] * c[t][j] for t in range(3)) for j in range(5)] for i in range(6)]
     m = from_dense(rows)
-    assert _modular_ranker([m])(CERTIFICATE_PRIME) == 3
+    assert _modular_ranker([(m, 1)])(CERTIFICATE_PRIME) == 3
     assert exactla._lifted_rank(m, CERTIFICATE_PRIME) is None
     with mock.patch.object(exactla, "_sparse_integer_rank",
                            wraps=_sparse_integer_rank) as fallback:
@@ -526,11 +525,11 @@ def test_blocked_path_runs_one_pivot_loop_per_panel():
 
 @st.composite
 def slice_stacks(draw):
-    """(a, q): a (B, m, n) stack of one shape under two panels, tall, wide,
-    1 x k or k x 1, entries in [0, q).  Each slice is drawn on its own: a
-    product B·C of random inner size (so ranks mix within a stack), all
-    zero, full rank on its leading square block with its pivots there
-    (full rank reached early), or every entry q - 1."""
+    """(a, q): a (B, m, n) stack of slices of one shape under two panels,
+    tall, wide, 1 x k or k x 1, entries in [0, q).  Each slice is drawn on
+    its own: a product B·C of random inner size (so ranks mix within a
+    stack), all zero, full rank on its leading square block with its pivots
+    there (full rank reached early), or every entry q - 1."""
     q = draw(st.sampled_from([5, 101, 2147483659, 3037000493]))
     side = st.one_of(st.just(1), st.integers(1, 8), st.integers(9, 2 * PANEL - 1))
     m, n = draw(side), draw(side)
@@ -560,59 +559,117 @@ def slice_stacks(draw):
 @example((np.full((3, 1, 5), 3037000492), 3037000493))
 @example((np.full((2, 2 * PANEL - 1, 7), 3037000492), 3037000493))
 @example((np.random.default_rng(3).integers(0, 5, (3, 2 * PANEL + 3, 6)), 5))
-# A marked row holds the only nonzero of a later column: it is no pivot again.
+# A row whose pivot is taken holds the only nonzero of a later column.
 @example((np.array([[[1, 1], [0, 0], [0, 0]]], dtype=np.int64), 5))
 # A later pivot sits above an earlier one.
 @example((np.array([[[0, 1], [1, 0], [0, 0]]], dtype=np.int64), 5))
-def test_stacked_ranks_match_the_sparse_oracle_slice_by_slice(case):
-    # The inverse-free update multiplies two residues, at most (q-1)^2.  A
-    # stack two panels tall is ranked by the same stacked loop.
-    assert (PRIME_CEIL - 1) ** 2 < 2**63
+def test_dense_kernel_matches_the_sparse_oracle_slice_by_slice(case):
+    # A slice under two panels wide in its wider orientation is ranked whole
+    # by the pivot loop; a slice two panels tall but narrow, by the panels.
     a, q = case
-    expected = [_markowitz_rank([{j: v for j, v in enumerate(row) if v} for row in s.tolist()],
-                                _modular_update(q)) for s in a]
-    assert _stacked_ranks(a.copy(), q).tolist() == expected
-    assert _modular_rank_dense(a.copy(), q) == sum(expected)
+    for s in a:
+        rows = [{j: v for j, v in enumerate(row) if v} for row in s.tolist()]
+        assert _modular_rank_dense(s.copy(), q) == _markowitz_rank(rows, _modular_update(q))
 
 
-def test_rank_modular_reduces_and_ranks_each_component_shape_once_per_prime():
+def test_rank_modular_reduces_and_ranks_each_distinct_component_once_per_prime():
+    # The (3, 3) cell of x1...x7: 393 components of 4 shapes, 16 of them
+    # distinct, all dense; each distinct one is reduced and ranked once per prime.
     m = koszul_flattening(gen_product(7), 3, 3)
     assert m.n_cols > EXACT_COLUMN_LIMIT
     components = _components(m)
-    shapes = {(c.n_rows, c.n_cols) for c in components}
+    assert sum(count for _, count in components) == 393
+    assert len({(c.n_rows, c.n_cols) for c, _ in components}) == 4
+    assert len(components) == 16
     with mock.patch.object(exactla, "_dense_mod", wraps=_dense_mod) as reduce, \
             mock.patch.object(exactla, "_modular_rank_dense", wraps=_modular_rank_dense) as rank:
         assert rank_modular(m, 2, 0).rank == 832
-    assert len(components) > 2 * len(shapes)
-    assert reduce.call_count <= 2 * len(shapes)
-    assert rank.call_count <= 2 * len(shapes)
+    assert reduce.call_count == rank.call_count == 2 * 16
 
 
-def test_modular_ranker_stacks_only_shapes_under_two_panels():
-    # Block diagonal: three 70 x 70 components (one of rank 40), four 5 x 7
-    # and three 9 x 4.  The repeated small shapes are stacked; the repeated
-    # wide one is not, and each copy reaches the panel loop on its own.
-    rng = np.random.default_rng(8)
-    blocks = [rng.integers(1, 50, (70, 70)) for _ in range(2)]
-    blocks.append(rng.integers(1, 4, (70, 40)) @ rng.integers(1, 4, (40, 70)))
-    blocks += [rng.integers(1, 9, (5, 7)) for _ in range(4)]
-    blocks += [rng.integers(1, 9, (9, 4)) for _ in range(3)]
+def block_diagonal(blocks, gaps=None):
+    """The block-diagonal matrix of ``blocks``, each a (rows, cols, {(i, j):
+    value}) triple, block t after gaps[t] empty rows and columns."""
     entries, i0, j0 = [], 0, 0
-    for b in blocks:
-        entries += [(i0 + i, j0 + j, int(v)) for (i, j), v in np.ndenumerate(b)]
-        i0, j0 = i0 + b.shape[0], j0 + b.shape[1]
-    m = SparseMatrix(i0, j0, entries)
-    rows = _integer_rows(m)
-    for q in (101, 3037000493):
-        with mock.patch.object(exactla, "_stacked_ranks", wraps=_stacked_ranks) as stacked, \
-                mock.patch.object(exactla, "_lu_mod", wraps=exactla._lu_mod) as lu:
-            rank = _modular_ranker(_components(m))(q)
-        assert sorted(call.args[0].shape for call in stacked.call_args_list) == [
-            (3, 9, 4), (4, 5, 7)]
-        assert [call.args[0].shape for call in lu.call_args_list
-                if call.kwargs.get("width") == PANEL].count((70, 70)) == 3
-        assert rank == _markowitz_rank([{j: v % q for j, v in row.items() if v % q}
-                                        for row in rows], _modular_update(q))
+    for (rows, cols, cells), gap in zip(blocks, gaps or [0] * len(blocks)):
+        i0, j0 = i0 + gap, j0 + gap
+        entries += [(i0 + i, j0 + j, v) for (i, j), v in cells.items()]
+        i0, j0 = i0 + rows, j0 + cols
+    return SparseMatrix(i0, j0, entries)
+
+
+@st.composite
+def repeated_blocks(draw):
+    """A block-diagonal matrix of a few random integer blocks, each placed
+    several times at its own offset: exact copies, and near-copies that
+    differ from their block in one value, by 1 or by 2^64, or in the
+    position of one entry.  Some draws add 2^64 to every positive value."""
+    lift = draw(st.sampled_from([0, 0, 2**64]))
+    bases = []
+    for _ in range(draw(st.integers(1, 3))):
+        rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+        values = draw(st.lists(st.integers(-3, 3), min_size=rows * cols, max_size=rows * cols))
+        cells = {(i, j): v + lift * (v > 0) for (i, j), v in
+                 zip(np.ndindex(rows, cols), values) if v}
+        bases.append((rows, cols, cells))
+    blocks = []
+    for _ in range(draw(st.integers(1, 8))):
+        rows, cols, cells = draw(st.sampled_from(bases))
+        cells = dict(cells)
+        kind = draw(st.sampled_from(["copy", "copy", "value", "position"]))
+        if cells and kind == "value":
+            at = draw(st.sampled_from(sorted(cells)))
+            cells[at] = cells[at] + draw(st.sampled_from([1, 2**64])) or 2
+        empty = sorted(set(np.ndindex(rows, cols)) - set(cells))
+        if cells and empty and kind == "position":
+            cells[draw(st.sampled_from(empty))] = cells.pop(draw(st.sampled_from(sorted(cells))))
+        blocks.append((rows, cols, cells))
+    gaps = draw(st.lists(st.integers(0, 2), min_size=len(blocks), max_size=len(blocks)))
+    return block_diagonal(blocks, gaps)
+
+
+@settings(max_examples=80, deadline=None)
+@given(repeated_blocks(), st.sampled_from([5, 101, 2147483659, 3037000493]))
+def test_grouped_ranks_match_the_ungrouped_oracles(m, q):
+    components = _components(m)
+    assert sum(count for _, count in components) == union_find_components(m)
+    reference = _modular_rank_dense(_dense_mod(m, q), q)
+    # Through the default split, then every component sparse, then every one dense.
+    assert _modular_ranker(components)(q) == reference
+    for fill in (2.0, 0.0):
+        with mock.patch.object(exactla, "DENSE_FILL", fill):
+            assert _modular_ranker(components)(q) == reference
+    assert rank_exact(m).rank == fraction_free_rank(m)
+
+
+@pytest.mark.parametrize("lift, step", [(0, 1), (2**70, 1), (2**70, 2**64)])
+def test_near_copies_stay_separate_components(lift, step):
+    # Three copies of one connected 2 x 3 block at different offsets, then
+    # the block with one value changed, in its low or its high bits, and
+    # with one entry moved: each near-copy is its own component, counted once.
+    block = {(0, 0): 1 + lift, (0, 1): 2, (1, 1): 3 + lift, (1, 2): 4}
+    changed = {**block, (1, 1): 3 + lift + step}
+    moved = {(0, 0): 1 + lift, (0, 2): 2, (1, 1): 3 + lift, (1, 2): 4}
+    m = block_diagonal([(2, 3, cells) for cells in (block, changed, block, moved, block)],
+                       [0, 1, 2, 0, 3])
+    assert (m._values.dtype == object) == bool(lift)
+    found = sorted((c.n_rows, c.n_cols, sorted(c.entries()), count)
+                   for c, count in _components(m))
+    assert found == sorted((2, 3, sorted((i, j, v) for (i, j), v in cells.items()), count)
+                           for cells, count in ((block, 3), (changed, 1), (moved, 1)))
+
+
+def test_rank_exact_certifies_each_distinct_component_once():
+    # Five copies of a rank-2 block and one full-rank block: two lifts, and
+    # no fraction-free elimination.
+    deficient = {(i, j): 3 * i + j + 1 for i in range(3) for j in range(3)}
+    full = {(0, 0): 2, (0, 1): 1, (1, 0): 1, (1, 1): 3, (1, 2): 1, (2, 1): 1, (2, 2): 4}
+    m = block_diagonal([(3, 3, deficient)] * 5 + [(3, 3, full)], [0, 2, 0, 1, 0, 3])
+    with mock.patch.object(exactla, "_sparse_integer_rank", side_effect=AssertionError), \
+            mock.patch.object(exactla, "_lifted_rank", wraps=exactla._lifted_rank) as lift:
+        assert rank_exact(m).rank == 5 * 2 + 3
+    assert lift.call_count == 2
+    assert fraction_free_rank(m) == 13
 
 
 @settings(max_examples=60, deadline=None)
@@ -715,8 +772,8 @@ def test_components_of_built_matrices_keep_the_stored_order(m):
     # _wrap checks nothing: a component listed out of row-major order, with
     # a zero or a repeated position would differ from its checked rebuild.
     components = _components(m)
-    assert sum(c.nnz for c in components) == m.nnz
-    for c in components:
+    assert sum(count * c.nnz for c, count in components) == m.nnz
+    for c, _ in components:
         assert c == SparseMatrix(c.n_rows, c.n_cols, c.entries())
         assert c._values.dtype == m._values.dtype
 

@@ -2,6 +2,7 @@
 the weight blocks of the product's Koszul flattening."""
 
 import random
+from argparse import Namespace
 from collections import Counter, defaultdict
 from math import comb
 
@@ -10,6 +11,7 @@ import pytest
 from flatrank.exactla import SparseMatrix, _components, binomial, rank_exact, rank_modular
 from flatrank.formulas import S_formula, hook_dim
 from flatrank.koszul import exterior_derivative, koszul_flattening, wedge_basis, wedge_insert
+from flatrank.labcli import RankOptions, run_bounds
 from flatrank.symtensor import Poly, gen_product, gen_random
 
 
@@ -112,14 +114,16 @@ def test_product_components_are_weight_blocks():
         product = gen_product(d)
         for k in range(1, d):
             for p in range(1, d):
-                components = _components(koszul_flattening(product, k, p))
-                ranks = Counter(rank_exact(c).rank for c in components)
+                ranks = Counter()
+                for c, count in _components(koszul_flattening(product, k, p)):
+                    ranks[rank_exact(c).rank] += count
                 assert ranks == expected_component_ranks(d, k, p), (d, k, p)
                 assert sum(r * n for r, n in ranks.items()) == S_formula(p, d, k)
     # d=3, (1,1): x2x3 (x) x1, x1x3 (x) x2 and x1x2 (x) x3 span the one
     # overlap-free block of rank 2; each of the six overlap-1 blocks is 1x1.
-    components = _components(koszul_flattening(gen_product(3), 1, 1))
-    shapes = Counter((c.n_rows, c.n_cols, rank_exact(c).rank) for c in components)
+    shapes = Counter()
+    for c, count in _components(koszul_flattening(gen_product(3), 1, 1)):
+        shapes[c.n_rows, c.n_cols, rank_exact(c).rank] += count
     assert shapes == Counter({(3, 3, 2): 1, (1, 1, 1): 6})
 
 
@@ -178,7 +182,8 @@ def test_weight_block_counts_match_formula():
                     expected[s] = binomial(d, s) * binomial(d - s, d - k + p - 2 * s)
                 assert counts == expected, (d, k, p)
                 # one component of the engine's split per block of nonzero rank
-                assert len(_components(m)) == sum(expected_component_ranks(d, k, p).values())
+                assert sum(count for _, count in _components(m)) == sum(
+                    expected_component_ranks(d, k, p).values())
 
 
 def test_weight_block_matrices_achieve_stated_rank():
@@ -220,6 +225,21 @@ def test_fast_rank_product_matches_matrix_rank():
                 assert rank_modular(m, 2, 10 * k + p).rank == rank_exact(m).rank
 
 
+@pytest.mark.parametrize("n, rank, ceiling, closed_form", [
+    (1, 8, 4, 4), (2, 76, 13, 12), (3, 832, 42, 39), (4, 10036, 144, 138), (5, 128864, 512, 498),
+])
+def test_middle_cells_certify_the_odd_product_bound(n, rank, ceiling, closed_form):
+    # The paper's lower bound for x1...x(2n+1), from the brute mod-q rank of
+    # its (n, n) Koszul cell: a mod-q rank is a lower bound over Q, so
+    # ceil(rank / C(2n, n)) bounds the symmetric border rank whatever the primes.
+    d = 2 * n + 1
+    result = rank_modular(koszul_flattening(gen_product(d), n, n), 2, 0)
+    assert result.rank == S_formula(n, d, n) == rank
+    bounds = run_bounds(Namespace(family="odd-product", n=n), 0, RankOptions())
+    assert -(-result.rank // binomial(2 * n, n)) == bounds["flattening_ratio_ceiling"] == ceiling
+    assert bounds["closed_form_ceiling"] == closed_form <= ceiling
+
+
 def test_block_sum_equals_assembled_rank():
     # the component ranks add up to the rank of the assembled matrix, which
     # is the closed form
@@ -229,7 +249,7 @@ def test_block_sum_equals_assembled_rank():
             for p in range(1, d):
                 m = koszul_flattening(product, k, p)
                 assembled = rank_exact(m).rank
-                assert sum(rank_exact(c).rank for c in _components(m)) == assembled
+                assert sum(count * rank_exact(c).rank for c, count in _components(m)) == assembled
                 assert assembled == S_formula(p, d, k)
 
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -359,6 +360,20 @@ def test_bounds_perm_gap_refuses_n_below_two_with_exit_2(capsys, n, r):
                              "--delta1", "1", "--r", r)
     assert (code, out) == (2, "")
     assert "n must be at least 2" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--family", "odd-product", "--n", "5000"],
+    ["--family", "perm-gap", "--n", "100000", "--delta1", "100000", "--r", "100000"],
+    ["--family", "perm-gap", "--n", "2000000", "--delta1", "1", "--r", "2000000"],
+])
+def test_bounds_refuses_arguments_whose_closed_forms_would_hang(capsys, argv):
+    # Each of these ran for 20 s or more before its size was checked.
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, "bounds", *argv)
+    assert time.perf_counter() - started < 1
+    assert (code, out) == (2, "")
+    assert "over its limit" in err
 
 
 def test_bounds_powersum_reports_the_coarse_pair(capsys):
