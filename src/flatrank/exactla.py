@@ -4,12 +4,13 @@ deterministic rank computation.
 A matrix keeps its nonzeros as row-major coordinate arrays of integer
 numerators over one denominator ``_den``.  Its rank over the rationals, or
 mod any prime q not dividing ``_den``, is the rank of the numerators, so no
-engine splits a fraction.  Both engines split the matrix once, by array
+engine splits a fraction.  Both engines split every matrix once, by array
 operations, into the connected components of its bipartite row/column graph,
-each compacted to the rows and columns it touches, and group equal
-components: two components with equal local row, column and value arrays
-are the same matrix, of the same rank over Q and mod every q.  Each distinct
-component is ranked once, and its rank counted as often as it occurs.
+each compacted to int64 indices of the rows and columns it touches, whatever
+shape the matrix declares, and group equal components: two components with
+equal local row, column and value arrays are the same matrix, of the same
+rank over Q and mod every q.  Each distinct component is ranked once, and
+its rank counted as often as it occurs.
 
 ``rank_exact`` returns the true rank over the rationals, by certificate where
 it can.  A component with one row or one column has rank 1.  Any other is
@@ -690,31 +691,29 @@ def _components(m: SparseMatrix) -> list[tuple[SparseMatrix, int]]:
     return distinct
 
 
-def _modular_ranker(components: Sequence[tuple[SparseMatrix, int]]) -> Callable[[int], int]:
-    """The map q -> rank mod q of the matrix split into ``components``,
-    (component, count) pairs as ``_components`` returns them, for q
-    dividing no ``_den``: the sum of count x rank, each distinct component
-    reduced and ranked once per prime.
+def _is_dense(m: SparseMatrix) -> bool:
+    """Whether m's fill reaches DENSE_FILL, so the dense F_q kernel ranks it."""
+    return m.nnz >= DENSE_FILL * m.n_rows * m.n_cols
 
-    A component whose fill reaches DENSE_FILL goes to the dense kernel, in
-    an array of its own cells, so at most 8 * nnz / DENSE_FILL bytes; a
-    sparser one is eliminated sparsely over F_q.
+
+def _modular_rank(components: Sequence[tuple[SparseMatrix, int]], q: int) -> int:
+    """Rank mod q, for q dividing no ``_den``, of the matrix split into
+    ``components`` as ``_components`` returns them: the sum of count x rank,
+    each distinct component ranked once, densely or sparsely (``_is_dense``).
     """
-    def rank(q: int) -> int:
-        total = 0
-        update = _modular_update(q)
-        for comp, count in components:
-            if comp.nnz >= DENSE_FILL * comp.n_rows * comp.n_cols:
-                total += count * _modular_rank_dense(_dense_mod(comp, q), q)
-                continue
-            rows: dict[int, dict[int, int]] = {}
-            residues = _mod(comp._values, q).tolist()
-            for i, j, r in zip(comp._rows.tolist(), comp._cols.tolist(), residues):
-                if r:
-                    rows.setdefault(i, {})[j] = r
-            total += count * _markowitz_rank(list(rows.values()), update)
-        return total
-    return rank
+    total = 0
+    update = _modular_update(q)
+    for comp, count in components:
+        if _is_dense(comp):
+            total += count * _modular_rank_dense(_dense_mod(comp, q), q)
+            continue
+        rows: dict[int, dict[int, int]] = {}
+        residues = _mod(comp._values, q).tolist()
+        for i, j, r in zip(comp._rows.tolist(), comp._cols.tolist(), residues):
+            if r:
+                rows.setdefault(i, {})[j] = r
+        total += count * _markowitz_rank(list(rows.values()), update)
+    return total
 
 
 def _draw_prime(rng: random.Random, den: int) -> int:
@@ -739,10 +738,10 @@ def rank_modular(m: SparseMatrix, prime_count: int = 2, seed: int = 0) -> RankRe
     """
     if prime_count < 1:
         raise ValueError("prime_count must be at least 1")
-    _int64_shape(m.n_rows, m.n_cols)
     rng = random.Random(seed)
     primes = [_draw_prime(rng, m._den) for _ in range(prime_count)]
-    best = max(map(_modular_ranker(_components(m)), primes))
+    components = _components(m)
+    best = max(_modular_rank(components, q) for q in primes)
     return RankResult(best, "modular", tuple(primes))
 
 
@@ -811,11 +810,11 @@ def _component_rank(comp: SparseMatrix, q: int) -> int:
     # so a component the dense kernel ranks is lifted in that one pass.  A
     # sparser one is ranked sparsely and not lifted: memory follows nnz.
     # Its full-rank check closes a 400x400 one of fill 0.02 in under 1 s, not 3+ minutes.
-    if comp.nnz >= DENSE_FILL * comp.n_rows * comp.n_cols:
+    if _is_dense(comp):
         lifted = _lifted_rank(comp, q)
         if lifted is not None:
             return lifted
-    elif _modular_ranker([(comp, 1)])(q) == min(comp.n_rows, comp.n_cols):
+    elif _modular_rank([(comp, 1)], q) == min(comp.n_rows, comp.n_cols):
         return min(comp.n_rows, comp.n_cols)
     return _sparse_integer_rank(_integer_rows(comp))
 
@@ -830,11 +829,8 @@ def rank_exact(m: SparseMatrix) -> RankResult:
     a lower bound, and it is exact when it reaches the shape's bound or when
     a kernel lifted from F_q (see ``_lifted_rank``) annihilates the component
     exactly.  Fraction-free elimination ranks the components neither
-    certifies, and every matrix too large to index in 64 bits.  Memory
-    follows nnz, not the declared shape.
+    certifies.  Memory follows nnz, not the declared shape.
     """
-    if max(m.n_rows, m.n_cols) >= 2**63:
-        return RankResult(_sparse_integer_rank(_integer_rows(m)), "exact_rational")
     rank = 0
     q = None
     for comp, count in _components(m):

@@ -700,20 +700,20 @@ def _emit(payload: str, out_path: str | None) -> None:
         sys.stdout.write(payload)
 
 
-def _render(command: str, fmt: str, seed: int, cases=None, result=None,
-            statement: str | None = None) -> str:
+def _render(name: str, fmt: str, seed: int, cases=None, result=None) -> str:
+    """The report of ``cases`` of statement ``name``, or of command ``name``'s ``result``."""
     if fmt == "json":
         if cases is not None:
             envelope = {"tool_version": __version__, "seed": str(seed),
                         "cases": [_jsonable(c) for c in cases]}
         else:
             envelope = {"tool_version": __version__, "seed": str(seed),
-                        "command": command, "result": _jsonable(result)}
+                        "command": name, "result": _jsonable(result)}
         return json.dumps(envelope, sort_keys=True, indent=2) + "\n"
     if fmt == "csv":
         return _render_cases_csv(cases) if cases is not None else _render_dict_csv(result)
     if cases is not None:
-        return _render_cases_text(statement or command, cases)
+        return _render_cases_text(name, cases)
     return _render_dict_text(result)
 
 
@@ -758,11 +758,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    flatten = sub.add_parser("flatten", parents=[common],
+    form = argparse.ArgumentParser(add_help=False)
+    form.add_argument("poly", nargs="?", help="polynomial text, e.g. 'x1*x2*x3'")
+    form.add_argument("--poly-file", default=None)
+    form.add_argument("--n-vars", type=int, default=None)
+
+    flatten = sub.add_parser("flatten", parents=[common, form],
                              help="build a flattening matrix and report its rank")
-    flatten.add_argument("poly", nargs="?", help="polynomial text, e.g. 'x1*x2*x3'")
-    flatten.add_argument("--poly-file", default=None)
-    flatten.add_argument("--n-vars", type=int, default=None)
     flatten.add_argument("--kind", choices=("cat", "shifted", "koszul"), required=True)
     flatten.add_argument("--k", type=int, required=True, help="derivative order")
     flatten.add_argument("--ell", type=int, default=None, help="shift degree")
@@ -785,12 +787,9 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--cap", default=None,
                         help="override size caps, e.g. 'd=5' or 'n=4,d=4'")
 
-    scan = sub.add_parser("scan", parents=[common],
-                          help="rank every (k, p) Koszul cell and report the "
-                               "best border-rank lower bound")
-    scan.add_argument("poly", nargs="?")
-    scan.add_argument("--poly-file", default=None)
-    scan.add_argument("--n-vars", type=int, default=None)
+    sub.add_parser("scan", parents=[common, form],
+                   help="rank every (k, p) Koszul cell and report the "
+                        "best border-rank lower bound")
 
     bounds = sub.add_parser("bounds", parents=[common],
                             help="evaluate closed-form bound families")
@@ -832,17 +831,15 @@ def _run(args: argparse.Namespace) -> int:
         # Checked before any work: a modular rank draws this many primes.
         if not 1 <= args.primes <= MAX_PRIMES:
             raise ValueError(f"--primes must be between 1 and {MAX_PRIMES}")
-        if args.command == "verify":
-            cases = run_verify(args.statement, _parse_caps(args.cap), args.seed, opts)
-            _emit(_render("verify", args.format, args.seed, cases=cases,
-                          statement=args.statement), args.out)
-            return 1 if any(c.status == STATUS_FAIL for c in cases) else 0
-        if args.command == "permanent":
-            if not 2 <= args.n <= 5:
+        if args.command in ("verify", "permanent"):
+            if args.command == "verify":
+                statement, caps = args.statement, _parse_caps(args.cap)
+            elif not 2 <= args.n <= 5:
                 raise ValueError("permanent supports 2 <= n <= 5")
-            cases = run_verify("perm", {"n": args.n}, args.seed, opts)
-            _emit(_render("permanent", args.format, args.seed, cases=cases,
-                          statement="perm"), args.out)
+            else:
+                statement, caps = "perm", {"n": args.n}
+            cases = run_verify(statement, caps, args.seed, opts)
+            _emit(_render(statement, args.format, args.seed, cases=cases), args.out)
             return 1 if any(c.status == STATUS_FAIL for c in cases) else 0
         if args.command == "flatten":
             result = run_flatten(args, args.seed, opts)

@@ -395,6 +395,8 @@ def _derivative_pattern(P: Poly, k: int):
     only choices that the remaining variables can complete, so no array
     outgrows the result.
     """
+    if P.degree >= 2**63:
+        raise ValueError(f"a form of degree {P.degree} is too large to index in 64 bits")
     n = P.n_vars
     beta = np.array(list(P.terms), dtype=np.int64).reshape(len(P.terms), n)
     tails = np.cumsum(beta[:, ::-1], axis=1)[:, ::-1] - beta

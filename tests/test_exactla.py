@@ -33,7 +33,7 @@ from flatrank.exactla import (
     _kernel_mod,
     _markowitz_rank,
     _modular_rank_dense,
-    _modular_ranker,
+    _modular_rank,
     _modular_update,
     _sparse_integer_rank,
     _times_mod,
@@ -239,11 +239,11 @@ def test_component_rank_mod_q_matches_dense_kernel(m, q):
     assert sum(count for _, count in components) == union_find_components(m)
     assert all(c == SparseMatrix(c.n_rows, c.n_cols, c.entries()) for c, _ in components)
     assert sum(count * c.nnz for c, count in components) == m.nnz
-    assert _modular_ranker(components)(q) == reference
+    assert _modular_rank(components, q) == reference
     # Every component through the sparse F_q loop, then through the dense kernel.
     for fill in (2.0, 0.0):
         with mock.patch.object(exactla, "DENSE_FILL", fill):
-            assert _modular_ranker(components)(q) == reference
+            assert _modular_rank(components, q) == reference
 
 
 @st.composite
@@ -284,12 +284,27 @@ def test_rank_exact_equals_rank_modular_on_planted_ranks(m, seed):
     assert certified == fraction_free_rank(m) == rank_modular(m, 2, seed).rank
 
 
+@settings(max_examples=40, deadline=None)
+@given(planted_rank_blocks(), st.integers(2**63, 2**64 - 2**8), st.integers(2**63, 2**64 - 2**8),
+       st.integers(0, 2**16))
+def test_ranks_past_int64_match_the_unshifted_copy(m, row_offset, col_offset, seed):
+    # m placed at row and column offsets of 2^63 or more in a 2^64-sided
+    # shape: its indices are Python ints, its components' local ones int64.
+    shifted = SparseMatrix(2**64, 2**64, [(row_offset + i, col_offset + j, v)
+                                          for i, j, v in m.entries()])
+    assert shifted._rows.dtype == shifted._cols.dtype == object
+    assert rank_exact(shifted) == rank_exact(m)
+    modular = rank_modular(shifted, 2, seed)
+    assert modular == rank_modular(m, 2, seed)
+    assert rank_auto(shifted, seed) == modular
+
+
 def test_rank_exact_falls_back_when_the_prime_divides_an_entry():
     # diag(q, 1) would split into two 1x1 components, which need no prime;
     # the 1 above the diagonal keeps a single component.
     q = CERTIFICATE_PRIME
     m = from_dense([[q, 1], [0, 1]])
-    assert _modular_ranker([(m, 1)])(q) == 1
+    assert _modular_rank([(m, 1)], q) == 1
     assert exactla._lifted_rank(m, q) is None
     with mock.patch.object(exactla, "_sparse_integer_rank",
                            wraps=_sparse_integer_rank) as fallback:
@@ -314,7 +329,7 @@ def test_rank_exact_lift_gives_up_on_large_generic_kernels():
     c = [[rng.randint(1, 2**31) for _ in range(5)] for _ in range(3)]
     rows = [[sum(b[i][t] * c[t][j] for t in range(3)) for j in range(5)] for i in range(6)]
     m = from_dense(rows)
-    assert _modular_ranker([(m, 1)])(CERTIFICATE_PRIME) == 3
+    assert _modular_rank([(m, 1)], CERTIFICATE_PRIME) == 3
     assert exactla._lifted_rank(m, CERTIFICATE_PRIME) is None
     with mock.patch.object(exactla, "_sparse_integer_rank",
                            wraps=_sparse_integer_rank) as fallback:
@@ -635,10 +650,10 @@ def test_grouped_ranks_match_the_ungrouped_oracles(m, q):
     assert sum(count for _, count in components) == union_find_components(m)
     reference = _modular_rank_dense(_dense_mod(m, q), q)
     # Through the default split, then every component sparse, then every one dense.
-    assert _modular_ranker(components)(q) == reference
+    assert _modular_rank(components, q) == reference
     for fill in (2.0, 0.0):
         with mock.patch.object(exactla, "DENSE_FILL", fill):
-            assert _modular_ranker(components)(q) == reference
+            assert _modular_rank(components, q) == reference
     assert rank_exact(m).rank == fraction_free_rank(m)
 
 

@@ -20,7 +20,8 @@ from flatrank.labcli import (
     run_scan,
     run_verify,
 )
-from flatrank.symtensor import gen_product, parse_poly
+from flatrank.koszul import koszul_flattening
+from flatrank.symtensor import catalecticant, gen_product, parse_poly, shifted_partials
 
 
 def run_cli(capsys, *argv):
@@ -76,6 +77,22 @@ def test_flatten_respects_column_budget(capsys):
     )
     assert code == 2 and "columns" in err
 
+
+@pytest.mark.parametrize("kind, build", [
+    (("cat",), lambda P: catalecticant(P, 2)),
+    (("shifted", "--ell", "2"), lambda P: shifted_partials(P, 2, 2)),
+    (("koszul", "--p", "2"), lambda P: koszul_flattening(P, 2, 2)),
+])
+@pytest.mark.parametrize("poly, n_vars", [("x1*x2*x3*x4", 4), ("x1^3*x2 + 2*x2^2*x3^2", 5)])
+def test_flatten_budget_counts_the_built_columns(capsys, kind, build, poly, n_vars):
+    # labcli counts the columns before building; the count must be the width built.
+    n_cols = build(parse_poly(poly, n_vars)).n_cols
+    argv = ["flatten", poly, "--n-vars", str(n_vars), "--kind", *kind, "--k", "2",
+            "--format", "json"]
+    code, out, _ = run_cli(capsys, *argv, "--budget-cols", str(n_cols))
+    assert code == 0 and json.loads(out)["result"]["n_cols"] == str(n_cols)
+    code, out, err = run_cli(capsys, *argv, "--budget-cols", str(n_cols - 1))
+    assert (code, out) == (2, "") and f"matrix has {n_cols} columns" in err
 
 
 def test_flatten_refuses_over_budget_before_building(capsys, monkeypatch):
@@ -135,13 +152,12 @@ def test_rank_file_input_errors_exit_2(capsys, tmp_path):
     path.write_text("%%flatrank coordinate rational\n2 2 1\n1 1 1/0\n")
     code, _, err = run_cli(capsys, "rank", str(path))
     assert code == 2 and "1/0" in err
-    # Indices past int64 rank exactly, and are refused by the modular engine.
+    # Indices past int64 rank alike by every engine.
     path.write_text("%%flatrank coordinate rational\n100000000000000000000 3 1\n"
                     "99999999999999999999 1 5\n")
-    code, _, err = run_cli(capsys, "rank", str(path), "--modular")
-    assert code == 2 and "too large" in err
-    code, out, _ = run_cli(capsys, "rank", str(path))
-    assert code == 0 and "rank: 1" in out
+    for engine in ((), ("--exact",), ("--modular",)):
+        code, out, _ = run_cli(capsys, "rank", str(path), *engine)
+        assert code == 0 and "rank: 1" in out
     # A position listed twice is refused whichever copy is zero.
     for first, second in (("0", "5"), ("5", "0")):
         path.write_text(f"%%flatrank coordinate rational\n2 2 2\n1 1 {first}\n1 1 {second}\n")
@@ -162,6 +178,16 @@ def test_flatten_refuses_forms_of_degree_below_two(capsys):
     assert code == 2 and "need a form of degree at least 2" in err
     code, _, err = run_cli(capsys, "flatten", "x1+x2", "--kind", "koszul", "--k", "1", "--p", "1")
     assert code == 2 and "need a form of degree at least 2" in err
+
+
+def test_flatten_refuses_forms_of_degree_2_to_the_63(capsys):
+    # The matrices fit int64 indices, but the exponents would not.
+    for argv in (["--kind", "cat"], ["--kind", "shifted", "--ell", "1"],
+                 ["--n-vars", "2", "--kind", "koszul", "--p", "1"]):
+        code, out, err = run_cli(capsys, "flatten", f"x1^{2**63}", *argv, "--k", "1")
+        assert (code, out) == (2, "") and f"a form of degree {2**63} is too large" in err
+    code, out, _ = run_cli(capsys, "flatten", f"x1^{2**63 - 1}", "--kind", "cat", "--k", "1")
+    assert code == 0 and "rank: 1" in out
 
 
 def run_child(*argv):
