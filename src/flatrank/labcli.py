@@ -76,14 +76,24 @@ STATUS_NOTED = "discrepancy_noted"
 class VerifyCase:
     """One formula-versus-oracle comparison.
 
-    ``expected`` is an exact value for equality cases, or a
-    (lower, upper) pair (either side may be None) for bound cases."""
+    ``expected`` is an exact value for equality cases, or a (lower, upper)
+    pair (either side may be None) for bound cases.  The status follows from
+    these two alone: a pair holds when ``observed`` lies within it, ends
+    included; any other value passes when it equals ``observed``."""
 
     statement_id: str
     parameters: dict
     expected: object
     observed: object
-    status: str
+
+    @property
+    def status(self) -> str:
+        if isinstance(self.expected, tuple):
+            lower, upper = self.expected
+            ok = ((lower is None or self.observed >= lower)
+                  and (upper is None or self.observed <= upper))
+            return STATUS_BOUND if ok else STATUS_FAIL
+        return STATUS_PASS if self.expected == self.observed else STATUS_FAIL
 
 
 # --primes accepts 1..MAX_PRIMES; each modular rank draws that many primes.
@@ -119,85 +129,56 @@ def _policy_rank(m: SparseMatrix, opts: RankOptions, seed: int) -> RankResult:
     return rank_auto(m, seed, opts.primes)
 
 
-def _eq_case(statement: str, params: dict, expected, observed) -> VerifyCase:
-    status = STATUS_PASS if expected == observed else STATUS_FAIL
-    return VerifyCase(statement, params, expected, observed, status)
-
-
-def _bound_case(statement: str, params: dict, lower, upper, observed) -> VerifyCase:
-    ok = (lower is None or observed >= lower) and (upper is None or observed <= upper)
-    return VerifyCase(statement, params, (lower, upper), observed,
-                      STATUS_BOUND if ok else STATUS_FAIL)
-
-
 # ---------------------------------------------------------------------------
-# verification suites
+# verification suites: each yields one (parameters, expected, observed) triple
+# per case; run_verify names the statement and VerifyCase.status judges it.
 
 
 def _verify_rankchow(caps, seed, opts):
-    cases = []
     for d in range(2, caps["d"] + 1):
         P = gen_product(d)
         for k in range(1, d):
             for p in range(1, d):
                 matrix = koszul_flattening(P, k, p)
                 result = _policy_rank(matrix, opts, _case_seed(seed, d, k, p))
-                cases.append(_eq_case(
-                    "rankchow", {"d": d, "k": k, "p": p, "method": result.method},
-                    S_formula(p, d, k), result.rank,
-                ))
-    return cases
+                yield ({"d": d, "k": k, "p": p, "method": result.method},
+                       S_formula(p, d, k), result.rank)
 
 
 def _verify_chowsrank(caps, seed, opts):
-    cases = []
     for n in range(1, caps["n"] + 1):
         d = 2 * n + 1
-        direct = chowsrank_intermediate_sum(n)
         via_rank = Fraction(S_formula(n, d, n) * factorial(n) ** 2, factorial(d))
-        cases.append(_eq_case("chowsrank", {"n": n, "part": "intermediate_sum"},
-                              direct, via_rank))
+        yield {"n": n, "part": "intermediate_sum"}, chowsrank_intermediate_sum(n), via_rank
         bound_ceil = math.ceil(chowsrank_bound(n))
         ratio_ceil = math.ceil(Fraction(S_formula(n, d, n), binomial(d - 1, n)))
-        cases.append(_bound_case("chowsrank", {"n": n, "part": "closed_vs_ratio"},
-                                 None, ratio_ceil, bound_ceil))
+        yield {"n": n, "part": "closed_vs_ratio"}, (None, ratio_ceil), bound_ceil
         if n == 1:
-            cases.append(_eq_case("chowsrank", {"n": 1, "part": "ceiling"},
-                                  4, bound_ceil))
-    return cases
+            yield {"n": 1, "part": "ceiling"}, 4, bound_ceil
 
 
 def _verify_nontrivial(caps, seed, opts):
-    cases = []
     for d in range(2, caps["d"] + 1):
         for k in range(-(-d // 2), d):
             for p in range(1, d):
-                expected = hook_dim(d, k, p)
                 P = gen_random(d, d, _case_seed(seed, d, k, p), 2**31 - 1)
                 matrix = koszul_flattening(P, k, p)
                 observed = rank_modular(matrix, opts.primes, _case_seed(seed, d, k, p, 7)).rank
-                cases.append(_eq_case("nontrivial", {"d": d, "k": k, "p": p},
-                                      expected, observed))
+                yield {"d": d, "k": k, "p": p}, hook_dim(d, k, p), observed
     for d in (6, 7):
         for k in range(-(-d // 2), d - 2):
             for p in range(1, d):
-                cases.append(_bound_case(
-                    "nontrivial", {"d": d, "k": k, "p": p, "part": "strict_gap"},
-                    None, hook_dim(d, k, p) - 1, S_formula(p, d, k),
-                ))
-    return cases
+                yield ({"d": d, "k": k, "p": p, "part": "strict_gap"},
+                       (None, hook_dim(d, k, p) - 1), S_formula(p, d, k))
 
 
 def _verify_yfveronese(caps, seed, opts):
-    cases = []
     for d in range(2, caps["d"] + 1):
         P = Poly.monomial((d,) + (0,) * (d - 1))
         for k in range(1, d):
             for p in range(1, d):
                 observed = rank_exact(koszul_flattening(P, k, p)).rank
-                cases.append(_eq_case("YFveronese", {"d": d, "k": k, "p": p},
-                                      veronese_point_rank(d, p), observed))
-    return cases
+                yield {"d": d, "k": k, "p": p}, veronese_point_rank(d, p), observed
 
 
 def _trace_product(matrix: SparseMatrix, n: int) -> SparseMatrix:
@@ -208,27 +189,20 @@ def _trace_product(matrix: SparseMatrix, n: int) -> SparseMatrix:
 
 
 def _verify_kyfl11(caps, seed, opts):
-    cases = []
     for n in range(2, caps["n"] + 1):
         for d in range(3, caps["d"] + 1):
             expected = generic_kyfl11_rank(n)
             witness = koszul_flattening(gen_kyfl11_witness(n, d), 1, 1)
-            cases.append(_eq_case("kyfl11", {"n": n, "d": d, "part": "witness"},
-                                  expected, rank_exact(witness).rank))
+            yield {"n": n, "d": d, "part": "witness"}, expected, rank_exact(witness).rank
             random_p = gen_random(n, d, _case_seed(seed, n, d), 1000)
             random_m = koszul_flattening(random_p, 1, 1)
-            cases.append(_eq_case("kyfl11", {"n": n, "d": d, "part": "random"},
-                                  expected, rank_exact(random_m).rank))
+            yield {"n": n, "d": d, "part": "random"}, expected, rank_exact(random_m).rank
             in_kernel = (_trace_product(witness, n).is_zero()
                          and _trace_product(random_m, n).is_zero())
-            cases.append(_eq_case("kyfl11", {"n": n, "d": d, "part": "trace_kernel"},
-                                  True, in_kernel))
-    return cases
+            yield {"n": n, "d": d, "part": "trace_kernel"}, True, in_kernel
 
 
 def _verify_rankschow(caps, seed, opts):
-    cases = []
-
     def meets_general_bracket(d, r):
         # The k = p = 1 closed form against r*[C(d,1)*(C(dr,1) - C(d,1)) + S]:
         # equal for d >= 3, the weaker (larger) bound at d = 2.
@@ -238,45 +212,32 @@ def _verify_rankschow(caps, seed, opts):
         return closed > general if d == 2 else closed == general
 
     symbolic = all(meets_general_bracket(d, r) for d in range(2, 21) for r in range(2, 21))
-    cases.append(_eq_case("rankschow",
-                          {"part": "p1k1_identity", "d_max": 20, "r_max": 20},
-                          True, symbolic))
+    yield {"part": "p1k1_identity", "d_max": 20, "r_max": 20}, True, symbolic
     for d in range(2, caps["d"] + 1):
         for r in range(2, caps["r"] + 1):
             matrix = koszul_flattening(gen_sum_of_products(r, d), 1, 1)
-            observed = rank_exact(matrix).rank
-            cases.append(_bound_case("rankschow", {"d": d, "r": r},
-                                     None, d * d * r * r - r, observed))
-    return cases
+            yield {"d": d, "r": r}, (None, d * d * r * r - r), rank_exact(matrix).rank
 
 
 def _verify_secant_cat(caps, seed, opts):
-    cases = []
     for d in range(2, caps["d"] + 1):
         for r in range(1, caps["r"] + 1):
             P = gen_sum_of_products(r, d)
             for k in range(1, d // 2 + 1):
                 observed = rank_exact(catalecticant(P, k)).rank
-                cases.append(_eq_case("secant_cat", {"d": d, "r": r, "k": k},
-                                      secant_chow_cat_rank(r, d, k), observed))
-    return cases
+                yield {"d": d, "r": r, "k": k}, secant_chow_cat_rank(r, d, k), observed
 
 
 def _verify_classic(caps, seed, opts):
-    cases = []
     for n in range(2, caps["n"] + 1):
         for d in range(2, caps["d"] + 1):
             for k in range(1, d):
                 expected = min(binomial(k + n - 1, k), binomial(d - k + n - 1, d - k))
                 P = gen_random(n, d, _case_seed(seed, n, d, k), 1000)
-                observed = rank_exact(catalecticant(P, k)).rank
-                cases.append(_eq_case("classic", {"n": n, "d": d, "k": k},
-                                      expected, observed))
-    return cases
+                yield {"n": n, "d": d, "k": k}, expected, rank_exact(catalecticant(P, k)).rank
 
 
 def _verify_numab(caps, seed, opts):
-    cases = []
     for d in range(2, caps["d"] + 1):
         for delta1 in range(1, d + 1):
             if d % delta1:
@@ -291,58 +252,38 @@ def _verify_numab(caps, seed, opts):
                         for b_val in range(delta1 - a_val - r, delta1 - a_val + 1):
                             total += num_ab(a_val, b_val, k, delta1, delta2, r) * dim_a
                     params = {"r": r, "delta1": delta1, "delta2": delta2, "k": k}
-                    cases.append(_eq_case(
-                        "NUMAB", {**params, "part": "class_partition"},
-                        binomial(k + r - 1, k), total,
-                    ))
+                    yield {**params, "part": "class_partition"}, binomial(k + r - 1, k), total
                     if binomial(k + r - 1, k) <= 300:
                         report = psp_rank_bounds(r, delta1, delta2, k)
                         observed = rank_exact(catalecticant(P, k)).rank
-                        cases.append(_bound_case(
-                            "NUMAB", {**params, "part": "sandwich"},
-                            report.lower, report.upper, observed,
-                        ))
-    return cases
+                        yield ({**params, "part": "sandwich"},
+                               (report.lower, report.upper), observed)
 
 
 def _verify_bounds(caps, seed, opts):
-    cases = []
     for delta1, delta2 in ((2, 2), (2, 3), (3, 2)):
         d = delta1 * delta2
         k = d // 2
         for r in range(2 * delta1, caps["r"] + 1):
             report = psp_rank_bounds(r, delta1, delta2, k)
-            lower, upper = report.secondary
             observed = rank_exact(catalecticant(gen_power_sum_power(r, delta1, delta2), k)).rank
-            cases.append(_bound_case(
-                "bounds", {"r": r, "delta1": delta1, "delta2": delta2, "k": k},
-                lower, upper, observed,
-            ))
-    return cases
+            yield ({"r": r, "delta1": delta1, "delta2": delta2, "k": k},
+                   report.secondary, observed)
 
 
 def _verify_perm(caps, seed, opts):
-    cases = []
     for n in range(2, caps["n"] + 1):
         P = gen_permanent(n)
         for k in range(1, n // 2 + 1):
-            observed = rank_exact(catalecticant(P, k)).rank
-            cases.append(_eq_case("perm", {"n": n, "k": k},
-                                  perm_cat_rank(n, k), observed))
-    return cases
+            yield {"n": n, "k": k}, perm_cat_rank(n, k), rank_exact(catalecticant(P, k)).rank
 
 
 def _verify_permcom_gap(caps, seed, opts):
-    cases = []
     for n, delta1, r in ((4, 2, 4), (9, 3, 9), (16, 4, 16)):
         ratio, _ = permcom_gap(n, r, delta1)
         expected = Fraction(binomial(n, n // 2) ** 2, (r * (n // 2)) ** delta1)
-        cases.append(_eq_case(
-            "permcom_gap",
-            {"n": n, "delta1": delta1, "r": r, "gap_exceeds_one": str(ratio > 1)},
-            expected, ratio,
-        ))
-    return cases
+        yield ({"n": n, "delta1": delta1, "r": r, "gap_exceeds_one": str(ratio > 1)},
+               expected, ratio)
 
 
 STATEMENTS = {
@@ -384,7 +325,8 @@ def run_verify(statement: str, caps: dict | None, seed: int, opts: RankOptions):
             raise ValueError(f"statement {statement!r} accepts caps "
                              f"{sorted(defaults) or 'none'}, not {key!r}")
         merged[key] = value
-    return runner(merged, seed, opts)
+    return [VerifyCase(statement, params, expected, observed)
+            for params, expected, observed in runner(merged, seed, opts)]
 
 
 # ---------------------------------------------------------------------------
@@ -466,6 +408,10 @@ def _load_poly(args) -> Poly:
     else:
         raise ValueError("give a polynomial inline or via --poly-file")
     n_vars = args.n_vars if args.n_vars is not None else _infer_n_vars(text)
+    # Every matrix flatten or scan builds has at least n_vars columns.
+    if n_vars > args.budget_cols:
+        raise ValueError(f"the form has {n_vars} variables, over the "
+                         f"--budget-cols limit {args.budget_cols}")
     return parse_poly(text, n_vars)
 
 
@@ -729,8 +675,11 @@ def _parse_caps(text: str | None) -> dict:
         if "=" not in chunk:
             raise ValueError(f"cap {chunk!r} is not of the form key=value")
         key, _, value = chunk.partition("=")
+        key = key.strip()
+        if key in caps:
+            raise ValueError(f"cap {key!r} is given more than once")
         try:
-            caps[key.strip()] = int(value)
+            caps[key] = int(value)
         except ValueError as exc:
             raise ValueError(f"cap {chunk!r} needs an integer value") from exc
     return caps

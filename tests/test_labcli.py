@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -14,6 +15,7 @@ import pytest
 from flatrank import exactla, labcli
 from flatrank.formulas import permcom_gap
 from flatrank.labcli import (
+    STATEMENTS,
     RankOptions,
     VerifyCase,
     main,
@@ -106,6 +108,30 @@ def test_flatten_refuses_over_budget_before_building(capsys, monkeypatch):
     )
     assert code == 2
     assert "matrix has 62370 columns, over the --budget-cols limit 2000" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["flatten", "x1*x2", "--n-vars", "99999999999999999999", "--kind", "cat", "--k", "1"],
+    ["flatten", "x99999999999999999999*x1", "--kind", "cat", "--k", "1"],
+    ["scan", "x1*x2*x3", "--n-vars", "2001"],
+    ["scan", "x99999999999999999999*x1"],
+])
+def test_variable_count_over_budget_exits_2_before_parsing(capsys, monkeypatch, argv):
+    # Every matrix flatten or scan builds has at least n_vars columns, given or inferred.
+    def never(*args):
+        raise AssertionError("the form must not be parsed")
+
+    monkeypatch.setattr(labcli, "parse_poly", never)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "") and "variables, over the --budget-cols limit 2000" in err
+
+
+@pytest.mark.parametrize("command", [("flatten", "--kind", "cat", "--k", "1"), ("scan",)])
+@pytest.mark.parametrize("form", [("x1*x2", "--n-vars", "3"), ("x1*x3",)])
+def test_variable_count_equal_to_budget_still_runs(capsys, command, form):
+    code, out, _ = run_cli(capsys, command[0], *form, *command[1:], "--budget-cols", "3")
+    assert code == 0
+    assert ("n_vars: 3" if command == ("scan",) else "rank: 2") in out
 
 
 def test_rank_file_modular_ignores_declared_shape(capsys, tmp_path):
@@ -245,6 +271,39 @@ def test_verify_bad_cap(capsys):
     assert code == 2 and "caps" in err
     code, _, err = run_cli(capsys, "verify", "rankchow", "--cap", "d")
     assert code == 2
+    code, out, err = run_cli(capsys, "verify", "rankchow", "--cap", "d=5,d=2")
+    assert (code, out) == (2, "") and "cap 'd' is given more than once" in err
+
+
+@pytest.mark.parametrize("expected, observed, status", [
+    (3, 3, "pass"),
+    (3, 4, "fail"),
+    (2, Fraction(4, 2), "pass"),
+    (True, True, "pass"),
+    ((None, None), 7, "bound_holds"),
+    ((2, 5), 2, "bound_holds"),
+    ((2, 5), 5, "bound_holds"),
+    ((2, None), 2, "bound_holds"),
+    ((None, 5), 5, "bound_holds"),
+    ((2, 5), 1, "fail"),
+    ((2, 5), 6, "fail"),
+    ((2, None), 1, "fail"),
+    ((None, 5), 6, "fail"),
+])
+def test_verify_case_status_follows_from_expected_and_observed(expected, observed, status):
+    # A pair is a bound, inclusive at both ends; any other value is compared with ==.
+    assert VerifyCase("s", {}, expected, observed).status == status
+
+
+def test_readme_statement_table_matches_statements():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Verification suites", 1)[1].split("\n#", 1)[0]
+    rows = {}
+    for line in section.splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if line.startswith("| `") and len(cells) == 3:
+            rows[cells[0].strip("`")] = set(re.findall(r"`(\w+)`", cells[2]))
+    assert rows == {name: set(defaults) for name, (_, defaults, _) in STATEMENTS.items()}
 
 
 def test_verify_numab_smoke(capsys):
