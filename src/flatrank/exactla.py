@@ -10,7 +10,8 @@ each compacted to int64 indices of the rows and columns it touches, whatever
 shape the matrix declares, and group equal components: two components with
 equal local row, column and value arrays are the same matrix, of the same
 rank over Q and mod every q.  Each distinct component is ranked once, and
-its rank counted as often as it occurs.
+its rank counted as often as it occurs.  A matrix made with its split known
+(``SparseMatrix._deferred``) is not split again, and not built to be ranked.
 
 ``rank_exact`` returns the true rank over the rationals, by certificate where
 it can.  A component with one row or one column has rank 1.  Any other is
@@ -142,6 +143,16 @@ def _int64_shape(n_rows: int, n_cols: int) -> tuple[int, int]:
     return n_rows, n_cols
 
 
+def _rational(token: str) -> int | Fraction:
+    """The number a coordinate token spells: ``int(token)`` for an integer,
+    about 20 times faster than ``Fraction(token)``, which reads every other
+    token and raises ValueError or ZeroDivisionError for a malformed one."""
+    try:
+        return int(token)
+    except ValueError:
+        return Fraction(token)
+
+
 class SparseMatrix:
     """Immutable sparse matrix with exact entries and optional basis labels.
 
@@ -158,9 +169,12 @@ class SparseMatrix:
     Labels, when present, are opaque hashable objects, one per row/column,
     pairwise distinct.  A builder defers them: its labels are listed and
     checked the first time ``row_labels`` or ``col_labels`` is read.
+    A matrix made by ``_deferred`` knows its split into components, which
+    is all the rank engines read, and builds its arrays only when read.
     """
 
-    __slots__ = ("n_rows", "n_cols", "_rows", "_cols", "_values", "_den", "_labels")
+    __slots__ = ("n_rows", "n_cols", "_rows", "_cols", "_values", "_den", "_labels",
+                 "_split", "_build")
 
     def __init__(
         self,
@@ -172,7 +186,7 @@ class SparseMatrix:
     ):
         if n_rows < 0 or n_cols < 0:
             raise ValueError("matrix dimensions must be non-negative")
-        self.n_rows, self.n_cols = n_rows, n_cols
+        self.n_rows, self.n_cols, self._split = n_rows, n_cols, None
         seen: set[tuple[int, int]] = set()
         kept = []
         for i, j, value in entries:
@@ -221,9 +235,33 @@ class SparseMatrix:
         The (row, column) labels are ``labels()``, called on first read."""
         m = cls.__new__(cls)
         m.n_rows, m.n_cols, m._rows, m._cols, m._values = n_rows, n_cols, rows, cols, values
-        m._den = den
+        m._den, m._split = den, None
         m._labels = (None, None) if labels is None else labels
         return m
+
+    @classmethod
+    def _deferred(cls, n_rows: int, n_cols: int, split: list[tuple["SparseMatrix", int]],
+                  den: int, build: Callable[[], "SparseMatrix"],
+                  labels: Callable[[], tuple] | None = None) -> "SparseMatrix":
+        """The matrix over the positive denominator ``den`` whose connected
+        components, each with a count, are ``split``: nonzero, compacted, and
+        of the same rank over Q and mod every q as the components they stand
+        for.  ``_components`` returns ``split`` and ``nnz`` sums it, so the
+        rank engines never build the matrix.  Its coordinate arrays are those
+        of ``build()``, the same matrix built in full, on their first read;
+        the (row, column) labels are ``labels()``, called on first read."""
+        m = cls.__new__(cls)
+        m.n_rows, m.n_cols, m._den, m._split, m._build = n_rows, n_cols, den, split, build
+        m._labels = (None, None) if labels is None else labels
+        return m
+
+    def __getattr__(self, name: str):
+        # Reached only for an unset slot: the arrays of a deferred matrix.
+        if name not in ("_rows", "_cols", "_values"):
+            raise AttributeError(name)
+        built = self._build()
+        self._rows, self._cols, self._values = built._rows, built._cols, built._values
+        return getattr(self, name)
 
     def _label_pair(self) -> tuple:
         if callable(self._labels):
@@ -240,6 +278,8 @@ class SparseMatrix:
 
     @property
     def nnz(self) -> int:
+        if self._split is not None:
+            return sum(count * comp.nnz for comp, count in self._split)
         return self._values.size
 
     def entry(self, i: int, j: int):
@@ -260,7 +300,7 @@ class SparseMatrix:
             Fraction(v, den) if v % den else v // den for v in numerators]
 
     def is_zero(self) -> bool:
-        return not self._values.size
+        return not self.nnz
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparseMatrix):
@@ -318,7 +358,7 @@ class SparseMatrix:
             if len(toks) != 3:
                 raise ValueError(f"malformed entry line: {ln!r}")
             try:
-                entries.append((int(toks[0]) - 1, int(toks[1]) - 1, Fraction(toks[2])))
+                entries.append((int(toks[0]) - 1, int(toks[1]) - 1, _rational(toks[2])))
             except (ValueError, ZeroDivisionError) as exc:
                 raise ValueError(f"malformed entry line: {ln!r}") from exc
         return cls(n_rows, n_cols, entries)
@@ -639,8 +679,11 @@ def _components(m: SparseMatrix) -> list[tuple[SparseMatrix, int]]:
     q, exactly when their local row, column and value arrays are equal; as
     a component touches every row and column it is compacted to, those
     arrays fix its shape too.  So only components of equal nnz are compared,
-    as one row of their stacked arrays each.
+    as one row of their stacked arrays each.  A deferred matrix returns the
+    split it was made with, in which equal components may be listed apart.
     """
+    if m._split is not None:
+        return m._split
     if not m.nnz:
         return []
     # The rows are sorted: an entry's index among the rows in use counts the

@@ -12,13 +12,18 @@ sign * m_i * x^(m - e_i) (x) (w with i inserted), so every entry of a Koszul
 flattening is the single term c_beta * falling factors * m_i * sign with
 beta = m' + e_i + alpha; row and column indices come from graded-lex ranks
 and a table of wedge insertions.
+
+The Koszul flattening of a one-term form can instead be given by one torus
+weight block per orbit of the variable permutations that fix it (see
+``monomial_blocks``), which is all the rank engines need.
 """
 
 from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from math import comb
+from functools import cache
+from math import comb, perm
 
 import numpy as np
 
@@ -31,6 +36,7 @@ from .symtensor import (
     _glex_rank,
     _times,
     monomial_basis,
+    multinomial,
 )
 
 WedgeIndex = tuple[int, ...]
@@ -108,12 +114,16 @@ def exterior_derivative(a: int, p: int, n_vars: int) -> SparseMatrix:
     )
 
 
-def koszul_flattening(P: Poly, k: int, p: int) -> SparseMatrix:
+def koszul_flattening(P: Poly, k: int, p: int, orbits: bool = False) -> SparseMatrix:
     """Matrix of the Koszul flattening: the k-th flattening tensored with
     p-wedges, composed with the exterior derivative.
 
     Columns are labeled (derivative order, wedge); rows are labeled
-    (degree-(d-k-1) monomial, (p+1)-wedge).
+    (degree-(d-k-1) monomial, (p+1)-wedge).  With ``orbits``, a one-term
+    form gives a deferred matrix (``SparseMatrix._deferred``), split into
+    one weight block per orbit (``monomial_blocks``): the rank engines read
+    only those blocks, and the matrix is built in full only when its entries
+    are read.  A degree past int64 takes the full build, which refuses it.
     """
     d, n = P.degree, P.n_vars
     if d < 2:
@@ -124,10 +134,150 @@ def koszul_flattening(P: Poly, k: int, p: int) -> SparseMatrix:
         raise ValueError(f"wedge degree p={p} outside [1, {n - 1}]")
     shape = _int64_shape(_basis_size(n, d - k - 1) * comb(n, p + 1),
                          _basis_size(n, k) * comb(n, p))
-    term, alpha, m, factor = _derivative_pattern(P, k)
-    row, col, pair, factor = _exterior_pattern(_glex_rank(alpha), m, factor, n, p)
-    return _from_pattern(
-        list(P.terms.values()), row, col, term[pair], factor, shape,
-        lambda: (itertools.product(monomial_basis(n, d - k - 1), wedge_basis(n, p + 1)),
-                 itertools.product(monomial_basis(n, k), wedge_basis(n, p))),
-    )
+
+    def labels():
+        return (itertools.product(monomial_basis(n, d - k - 1), wedge_basis(n, p + 1)),
+                itertools.product(monomial_basis(n, k), wedge_basis(n, p)))
+
+    def build() -> SparseMatrix:
+        term, alpha, m, factor = _derivative_pattern(P, k)
+        row, col, pair, scaled = _exterior_pattern(_glex_rank(alpha), m, factor, n, p)
+        return _from_pattern(list(P.terms.values()), row, col, term[pair], scaled, shape, labels)
+
+    if orbits and len(P.terms) == 1 and d < 2**63:
+        ((_, c),) = P.terms.items()
+        return SparseMatrix._deferred(*shape, monomial_blocks(P, k, p), c.denominator,
+                                      build, labels)
+    return build()
+
+
+# ---------------------------------------------------------------------------
+# monomials, one weight block per orbit
+#
+# The Koszul flattening of c*x^a preserves torus weight: column (alpha, w)
+# carries x^(a - alpha) (x) w, of weight mu = a - alpha + 1_w, and the
+# exterior derivative keeps it.  So the matrix is a direct sum of weight
+# blocks.  A permutation of the variables that fixes a fixes the form, and
+# by GL(V)-equivariance maps the block of mu onto the block of the permuted
+# weight by a signed permutation of rows and columns: one block per orbit,
+# counted orbit-size times, has the matrix's rank over Q and modulo every
+# prime, and its nnz.
+#
+# In the block of mu, let F be the variables where mu_l = a_l + 1, which lie
+# in every wedge, and S those where 1 <= mu_l <= a_l.  Its columns are the
+# p-wedges F + u, u a subset of S, those with alpha = a + 1_w - mu in [0, a];
+# its nonzero rows are the (p+1)-wedges F + u'.  Column F + u meets row
+# F + u + {i} in c * falling factors * mu_i * sign.  The falling factors of
+# alpha are K * prod(mu_l, l in u), K the product of a_l! / mu_l! over l not
+# in F, so the entry is c * K * prod(mu_l, l in u') times the sign of
+# inserting i.  The block is connected, and nonzero when u is shorter than S.
+
+
+@cache
+def _class_profiles(size: int, e: int, k: int) -> tuple[range, tuple[tuple, ...]]:
+    """The values a weight takes on a class of ``size`` variables of
+    exponent e at order k, descending, and for each profile of counts of
+    those values the (sum, f, support, counts) it adds to a weight."""
+    values = range(e + 1, max(e - k, 0) - 1, -1)
+    bars = size + len(values) - 1
+    profiles = []
+    for cuts in itertools.combinations(range(bars), len(values) - 1):
+        counts = tuple(y - x - 1 for x, y in zip((-1, *cuts), (*cuts, bars)))
+        profiles.append((sum(c * v for c, v in zip(counts, values)), counts[0],
+                         size - (counts[-1] if values[-1] == 0 else 0), counts))
+    return values, tuple(profiles)
+
+
+def _weight_orbits(a: tuple[int, ...], k: int, p: int):
+    """(mu, orbit size) for one weight mu per orbit of the weights whose
+    Koszul block at (k, p) of x^a is nonzero, under the permutations inside
+    each class of equal exponents, zeros included.  Along a class, mu is
+    non-increasing; the orbit size is the product over classes of the
+    multinomials of the counts of each value.
+
+    A weight takes the values a_l - alpha_l + [l in w] in [a_l - k, a_l + 1]
+    and sums to d - k + p; its block is nonzero when its f values a_l + 1
+    and its support satisfy f <= p < support."""
+    classes: dict[int, list[int]] = {}
+    for i, e in enumerate(a):
+        classes.setdefault(e, []).append(i)
+    target = sum(a) - k + p
+    profiles = [(index, *_class_profiles(len(index), e, k)) for e, index in classes.items()]
+    # low[c] and high[c] bound the sum the classes from c on add; every sum
+    # between them occurs, so a partial weight within them can be completed.
+    low = [0] * (len(profiles) + 1)
+    high = [0] * (len(profiles) + 1)
+    for c in range(len(profiles) - 1, -1, -1):
+        index, values, _ = profiles[c]
+        low[c] = low[c + 1] + len(index) * values[-1]
+        high[c] = high[c + 1] + len(index) * values[0]
+    states = [(0, 0, 0, ())]
+    for c, (_, _, options) in enumerate(profiles):
+        states = [(total + t, f + g, support + h, chosen + (counts,))
+                  for total, f, support, chosen in states
+                  for t, g, h, counts in options
+                  if f + g <= p and low[c + 1] <= target - total - t <= high[c + 1]]
+    for _, f, support, chosen in states:
+        if p >= support:
+            continue
+        mu = [0] * len(a)
+        size = 1
+        for (index, values, _), counts in zip(profiles, chosen):
+            at = iter(index)
+            for value, count in zip(values, counts):
+                for _ in range(count):
+                    mu[next(at)] = value
+            size *= multinomial(counts)
+        yield tuple(mu), size
+
+
+def weight_block(P: Poly, mu: tuple[int, ...], p: int) -> SparseMatrix | None:
+    """The block of weight ``mu`` of the Koszul flattening of the one-term
+    form P at wedge degree p (the order k is deg P - |mu| + p) on its
+    nonzero rows, over P's denominator, or None when it is zero.  Rows
+    F + u' and columns F + u come in the order of u' and u among the subsets
+    of S, and are labeled by their wedges."""
+    ((a, c),) = P.terms.items()
+    forced = [l for l, (m, e) in enumerate(zip(mu, a)) if m == e + 1]
+    free = [l for l, (m, e) in enumerate(zip(mu, a)) if 1 <= m <= e]
+    j = p - len(forced)
+    if not 0 <= j < len(free):
+        return None
+    scale = c.numerator
+    for m, e in zip(mu, a):
+        if m <= e:
+            scale *= perm(e, e - m)
+    column = {u: r for r, u in enumerate(itertools.combinations(free, j))}
+    rows, cols, values = [], [], []
+    for r, wider in enumerate(itertools.combinations(free, j + 1)):
+        value = scale
+        for l in wider:
+            value *= mu[l]
+        # Dropping later variables first keeps the columns of a row sorted;
+        # inserting wider[t] passes the smaller variables of F and of wider.
+        for t in range(j, -1, -1):
+            rows.append(r)
+            cols.append(column[wider[:t] + wider[t + 1:]])
+            values.append(-value if (t + bisect_left(forced, wider[t])) % 2 else value)
+    try:
+        values = np.array(values, dtype=np.int64)
+    except OverflowError:
+        values = np.array(values, dtype=object)
+
+    def labels():
+        def wedge(u):
+            return tuple(l + 1 for l in sorted(forced + list(u)))
+        return ([wedge(u) for u in itertools.combinations(free, j + 1)],
+                [wedge(u) for u in column])
+
+    return SparseMatrix._wrap(comb(len(free), j + 1), len(column),
+                              np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64),
+                              values, labels, c.denominator)
+
+
+def monomial_blocks(P: Poly, k: int, p: int) -> list[tuple[SparseMatrix, int]]:
+    """The Koszul flattening of the one-term form P at (k, p) as one weight
+    block per orbit, each with its orbit size: its connected components,
+    each with a count, up to signed permutations of rows and columns."""
+    ((a, _),) = P.terms.items()
+    return [(weight_block(P, mu, p), size) for mu, size in _weight_orbits(a, k, p)]

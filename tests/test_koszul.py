@@ -1,17 +1,37 @@
-"""Wedge combinatorics, the exterior derivative, Koszul flattenings, and
-the weight blocks of the product's Koszul flattening."""
+"""Wedge combinatorics, the exterior derivative, Koszul flattenings, the
+weight blocks of the product's Koszul flattening, and a monomial's
+flattening ranked from one weight block per orbit."""
 
 import random
 from argparse import Namespace
 from collections import Counter, defaultdict
+from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from flatrank.exactla import SparseMatrix, _components, binomial, rank_exact, rank_modular
+from flatrank.exactla import (
+    SparseMatrix,
+    _components,
+    _modular_rank,
+    binomial,
+    rank_auto,
+    rank_exact,
+    rank_modular,
+)
 from flatrank.formulas import S_formula, hook_dim
-from flatrank.koszul import exterior_derivative, koszul_flattening, wedge_basis, wedge_insert
-from flatrank.labcli import RankOptions, run_bounds
+from flatrank.koszul import (
+    _weight_orbits,
+    exterior_derivative,
+    koszul_flattening,
+    monomial_blocks,
+    wedge_basis,
+    weight_block,
+    wedge_insert,
+)
+from flatrank.labcli import RankOptions, _case_seed, run_bounds
 from flatrank.symtensor import Poly, gen_product, gen_random
 
 
@@ -227,13 +247,16 @@ def test_fast_rank_product_matches_matrix_rank():
 
 @pytest.mark.parametrize("n, rank, ceiling, closed_form", [
     (1, 8, 4, 4), (2, 76, 13, 12), (3, 832, 42, 39), (4, 10036, 144, 138), (5, 128864, 512, 498),
+    (6, 1723632, 1866, 1831),
 ])
 def test_middle_cells_certify_the_odd_product_bound(n, rank, ceiling, closed_form):
     # The paper's lower bound for x1...x(2n+1), from the brute mod-q rank of
     # its (n, n) Koszul cell: a mod-q rank is a lower bound over Q, so
     # ceil(rank / C(2n, n)) bounds the symmetric border rank whatever the primes.
+    # The d = 13 cell is ranked from one weight block per orbit: built in
+    # full, it takes about 8 s.
     d = 2 * n + 1
-    result = rank_modular(koszul_flattening(gen_product(d), n, n), 2, 0)
+    result = rank_modular(koszul_flattening(gen_product(d), n, n, orbits=n == 6), 2, 0)
     assert result.rank == S_formula(n, d, n) == rank
     bounds = run_bounds(Namespace(family="odd-product", n=n), 0, RankOptions())
     assert -(-result.rank // binomial(2 * n, n)) == bounds["flattening_ratio_ceiling"] == ceiling
@@ -300,3 +323,135 @@ def test_product_rank_strictly_below_generic():
         for k in range(-(-d // 2), d - 2):
             for p in range(1, d):
                 assert S_formula(p, d, k) < hook_dim(d, k, p)
+
+
+def rank_profile(m, seed):
+    """What a report or a verify case reads of m: shape, nnz, the policy's
+    rank, method and primes, the exact rank, and the rank mod each prime."""
+    modular = rank_modular(m, 2, seed)
+    per_prime = [_modular_rank(_components(m), q) for q in modular.primes_used]
+    return (m.n_rows, m.n_cols, m.nnz), rank_auto(m, seed), modular, rank_exact(m), per_prime
+
+
+def test_orbit_path_matches_the_full_build_on_product_cells():
+    # Every (k, p) cell of x1...xd up to d = 8, at the seeds scan draws.
+    for d in range(2, 9):
+        product = gen_product(d)
+        for k in range(1, d):
+            for p in range(1, d):
+                seed = _case_seed(0, k, p)
+                full = rank_profile(koszul_flattening(product, k, p), seed)
+                assert rank_profile(koszul_flattening(product, k, p, orbits=True), seed) == full
+
+
+@st.composite
+def monomial_cells(draw):
+    """(c*x^a, k, p): repeated exponents, variables outside the support, and
+    a coefficient that is usually a fraction."""
+    support = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    exps = draw(st.permutations(support + [0] * draw(st.integers(0, 2))))
+    if len(exps) < 2 or sum(exps) < 2:
+        exps = [*exps, 1, 1]
+    coeff = Fraction(draw(st.integers(1, 9)) * draw(st.sampled_from([1, -1])),
+                     draw(st.integers(1, 6)))
+    k = draw(st.integers(1, sum(exps) - 1))
+    p = draw(st.integers(1, len(exps) - 1))
+    return Poly.monomial(tuple(exps), coeff), k, p
+
+
+@settings(max_examples=60, deadline=None)
+@given(monomial_cells(), st.integers(0, 2**32))
+def test_orbit_path_matches_the_full_build_on_random_monomials(cell, seed):
+    P, k, p = cell
+    full = rank_profile(koszul_flattening(P, k, p), seed)
+    assert rank_profile(koszul_flattening(P, k, p, orbits=True), seed) == full
+
+
+def weight_of(a, label, is_column):
+    """The torus weight of a row label (m', w') or a column label (alpha, w)."""
+    mono, wedge = label
+    weight = [e - x for e, x in zip(a, mono)] if is_column else list(mono)
+    for v in wedge:
+        weight[v - 1] += 1
+    return tuple(weight)
+
+
+def wedge_image(sigma, wedge):
+    """(sign, sorted wedge) of the image of a wedge when x_v goes to x_sigma[v-1]."""
+    image = [sigma[v - 1] for v in wedge]
+    inversions = sum(x > y for i, x in enumerate(image) for y in image[i + 1:])
+    return (-1) ** inversions, tuple(sorted(image))
+
+
+def block_entries(block):
+    """{(row wedge, column wedge): value} of a weight block."""
+    return {(block.row_labels[i], block.col_labels[j]): v for i, j, v in block.entries()}
+
+
+def stabiliser_sample(a, rng, count):
+    """``count`` random permutations (1-based images) of the variables that fix a."""
+    classes = defaultdict(list)
+    for v, e in enumerate(a, 1):
+        classes[e].append(v)
+    sample = []
+    for _ in range(count):
+        sigma = list(range(1, len(a) + 1))
+        for members in classes.values():
+            for v, image in zip(members, rng.sample(members, len(members))):
+                sigma[v - 1] = image
+        sample.append(sigma)
+    return sample
+
+
+@pytest.mark.parametrize("a, coeff, k, p", [
+    ((2, 2, 1, 1, 0, 1), Fraction(5, 3), 3, 2),
+    ((1, 1, 1, 1, 1, 0, 0), Fraction(1), 2, 3),
+    ((3, 0, 3, 2, 0), Fraction(-2, 7), 4, 2),
+])
+def test_weight_blocks_are_the_full_matrix_by_weight_and_permute_by_sign(a, coeff, k, p):
+    P = Poly.monomial(a, coeff)
+    full = koszul_flattening(P, k, p)
+    by_weight = defaultdict(dict)
+    for i, j, v in full.entries():
+        row, col = full.row_labels[i], full.col_labels[j]
+        weight = weight_of(a, col, True)
+        assert weight_of(a, row, False) == weight
+        by_weight[weight][row[1], col[1]] = v
+    # Each nonzero weight block of the full matrix, entry by entry.
+    for weight, cells in by_weight.items():
+        assert block_entries(weight_block(P, weight, p)) == cells
+    # One weight per orbit, the orbit sizes adding up to the blocks.
+    orbits = list(_weight_orbits(a, k, p))
+    assert sum(size for _, size in orbits) == len(by_weight)
+    assert {mu for mu, _ in orbits} <= set(by_weight)
+    assert [size for _, size in orbits] == [size for _, size in monomial_blocks(P, k, p)]
+    # The block of sigma(mu) is the block of mu, signed and permuted.
+    rng = random.Random(sum(a) + k + p)
+    for sigma in stabiliser_sample(a, rng, 4):
+        for weight in by_weight:
+            moved = [0] * len(a)
+            for v, x in enumerate(weight, 1):
+                moved[sigma[v - 1] - 1] = x
+            expected = {}
+            for (row, col), v in block_entries(weight_block(P, weight, p)).items():
+                (s_row, row_image), (s_col, col_image) = wedge_image(sigma, row), wedge_image(sigma, col)
+                expected[row_image, col_image] = s_row * s_col * v
+            assert block_entries(weight_block(P, tuple(moved), p)) == expected
+
+
+def test_deferred_flattening_builds_only_when_its_entries_are_read():
+    def built(m):
+        # The slot itself: reading m._values would build it.
+        try:
+            SparseMatrix._values.__get__(m)
+        except AttributeError:
+            return False
+        return True
+
+    P = Poly.monomial((2, 1, 1, 0), Fraction(3, 2))
+    full = koszul_flattening(P, 2, 1)
+    m = koszul_flattening(P, 2, 1, orbits=True)
+    assert (rank_exact(m), rank_modular(m), m.nnz, m.is_zero()) == (
+        rank_exact(full), rank_modular(full), full.nnz, False)
+    assert m.row_labels == full.row_labels and not built(m)
+    assert m == full and m.to_coordinate_text() == full.to_coordinate_text() and built(m)

@@ -275,6 +275,23 @@ def test_verify_bad_cap(capsys):
     assert (code, out) == (2, "") and "cap 'd' is given more than once" in err
 
 
+@pytest.mark.parametrize("argv, caps", [
+    (["rankchow", "--cap", "d=-3"], "d=-3"),
+    (["rankchow", "--cap", "d=1"], "d=1"),
+    (["chowsrank", "--cap", "n=0"], "n=0"),
+    (["kyfl11", "--cap", "n=1,d=4"], "n=1,d=4"),
+])
+def test_verify_caps_that_select_no_case_exit_2_naming_them(capsys, argv, caps):
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert (code, out) == (2, "") and f"selects no case at caps {caps}" in err
+
+
+@pytest.mark.parametrize("statement", sorted(STATEMENTS))
+def test_default_caps_select_a_case(statement):
+    runner, defaults, _ = STATEMENTS[statement]
+    assert next(iter(runner(dict(defaults), 0, RankOptions())), None) is not None
+
+
 @pytest.mark.parametrize("expected, observed, status", [
     (3, 3, "pass"),
     (3, 4, "fail"),

@@ -25,7 +25,20 @@ INVOCATIONS = [(f"verify {s}", ["verify", s]) for s in sorted(STATEMENTS)] + [
     ("bounds perm-gap", ["bounds", "--family", "perm-gap", "--n", "16", "--delta1", "4",
                          "--r", "16"]),
     ("permanent", ["permanent", "--n", "3"]),
+    # Koszul cells of monomials: a squarefree product past the exact limit,
+    # a repeated exponent over a denominator, variables outside the support,
+    # and a dumped matrix, whose bytes are hashed with its reports.
+    ("flatten koszul product", ["flatten", "x1*x2*x3*x4*x5*x6*x7*x8", "--kind", "koszul",
+                                "--k", "4", "--p", "3", "--budget-cols", "20000"]),
+    ("flatten koszul monomial", ["flatten", "3/2*x1^2*x2*x3", "--kind", "koszul", "--k", "2",
+                                 "--p", "1", "--modular"]),
+    ("scan padded", ["scan", "x1*x2*x3", "--n-vars", "5"]),
+    ("flatten koszul dump", ["flatten", "x1*x2*x3*x4*x5", "--kind", "koszul", "--k", "2",
+                             "--p", "2", "--dump-matrix", "G.txt"]),
 ]
+
+# The file whose bytes join an invocation's digest.
+DUMPED = {"rank": "F.txt", "flatten koszul dump": "G.txt"}
 
 # Recorded before the builders and the component split shared one private
 # SparseMatrix constructor.
@@ -51,6 +64,11 @@ DIGESTS = {
     "bounds powersum": "643eb3be5378a81476ebcef595a7dd9f04cbb0964b7d8d52dab216c7458ed33f",
     "bounds perm-gap": "95197b5d0a21be5fec2eab5d02bbc27d189c913b61f02cbfa21349335c13b297",
     "permanent": "3564ca2a99229a3bc0a4e54d8e090438cc54c78fa6f69c29ad58480e34ce1a19",
+    # Recorded before monomials were ranked one weight block per orbit.
+    "flatten koszul product": "18f794699abbc04762b9c039f3009662296bcd1c09196f36bd16c9866ce818ac",
+    "flatten koszul monomial": "e68bf771dada2a524cb4ccdd842f718d189533784ab66db674f50096883a8aab",
+    "scan padded": "45528308b78d8c3a5c9424c4491508df51366e25513e75b6cb5e123c2bf5852d",
+    "flatten koszul dump": "ba86a53cf602138e9808d9109f00b7301e88c58867a704e48137a148df422f4f",
 }
 
 
@@ -63,7 +81,7 @@ def test_reports_are_byte_identical(capsys, tmp_path, monkeypatch):
             code = main(argv + ["--format", fmt])
             h.update(f"== {fmt} exit {code}\n".encode())
             h.update(capsys.readouterr().out.encode())
-        if name == "rank":
-            h.update((tmp_path / "F.txt").read_bytes())
+        if name in DUMPED:
+            h.update((tmp_path / DUMPED[name]).read_bytes())
         seen[name] = h.hexdigest()
     assert seen == DIGESTS
