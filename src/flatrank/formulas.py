@@ -91,7 +91,7 @@ def border_rank_lb(P: Poly, k: int, p: int) -> BoundReport:
     certificate is valid whenever the ambient variable count is at most
     the degree (it is exact for the product family, where they agree).
     """
-    result = exactla.rank_auto(koszul.koszul_flattening(P, k, p, orbits=True))
+    result = exactla.rank_auto(koszul.koszul_flattening(P, k, p))
     per_point = veronese_point_rank(P.degree, p)
     lower = -(-result.rank // per_point)
     return BoundReport(

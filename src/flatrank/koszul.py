@@ -114,17 +114,7 @@ def exterior_derivative(a: int, p: int, n_vars: int) -> SparseMatrix:
     )
 
 
-def koszul_flattening(P: Poly, k: int, p: int, orbits: bool = False) -> SparseMatrix:
-    """Matrix of the Koszul flattening: the k-th flattening tensored with
-    p-wedges, composed with the exterior derivative.
-
-    Columns are labeled (derivative order, wedge); rows are labeled
-    (degree-(d-k-1) monomial, (p+1)-wedge).  With ``orbits``, a one-term
-    form gives a deferred matrix (``SparseMatrix._deferred``), split into
-    one weight block per orbit (``monomial_blocks``): the rank engines read
-    only those blocks, and the matrix is built in full only when its entries
-    are read.  A degree past int64 takes the full build, which refuses it.
-    """
+def _koszul_shape_and_labels(P: Poly, k: int, p: int):
     d, n = P.degree, P.n_vars
     if d < 2:
         raise ValueError("need a form of degree at least 2")
@@ -139,16 +129,36 @@ def koszul_flattening(P: Poly, k: int, p: int, orbits: bool = False) -> SparseMa
         return (itertools.product(monomial_basis(n, d - k - 1), wedge_basis(n, p + 1)),
                 itertools.product(monomial_basis(n, k), wedge_basis(n, p)))
 
-    def build() -> SparseMatrix:
-        term, alpha, m, factor = _derivative_pattern(P, k)
-        row, col, pair, scaled = _exterior_pattern(_glex_rank(alpha), m, factor, n, p)
-        return _from_pattern(list(P.terms.values()), row, col, term[pair], scaled, shape, labels)
+    return shape, labels
 
-    if orbits and len(P.terms) == 1 and d < 2**63:
+
+def _full_koszul(P: Poly, k: int, p: int) -> SparseMatrix:
+    """The Koszul flattening of P at (k, p), built in full from the compiled
+    derivative and exterior patterns."""
+    shape, labels = _koszul_shape_and_labels(P, k, p)
+    term, alpha, m, factor = _derivative_pattern(P, k)
+    row, col, pair, scaled = _exterior_pattern(_glex_rank(alpha), m, factor, P.n_vars, p)
+    return _from_pattern(list(P.terms.values()), row, col, term[pair], scaled, shape, labels)
+
+
+def koszul_flattening(P: Poly, k: int, p: int) -> SparseMatrix:
+    """Matrix of the Koszul flattening: the k-th flattening tensored with
+    p-wedges, composed with the exterior derivative.
+
+    Columns are labeled (derivative order, wedge); rows are labeled
+    (degree-(d-k-1) monomial, (p+1)-wedge).  A one-term form gives a
+    deferred matrix (``SparseMatrix._deferred``), split into one weight
+    block per orbit (``monomial_blocks``): the rank engines read only those
+    blocks, and the matrix is built in full only when its entries are read.
+    Other forms, and a degree past int64 (which the full build refuses),
+    are built in full.
+    """
+    shape, labels = _koszul_shape_and_labels(P, k, p)
+    if len(P.terms) == 1 and P.degree < 2**63:
         ((_, c),) = P.terms.items()
         return SparseMatrix._deferred(*shape, monomial_blocks(P, k, p), c.denominator,
-                                      build, labels)
-    return build()
+                                      lambda: _full_koszul(P, k, p), labels)
+    return _full_koszul(P, k, p)
 
 
 # ---------------------------------------------------------------------------

@@ -139,7 +139,7 @@ def _verify_rankchow(caps, seed, opts):
         P = gen_product(d)
         for k in range(1, d):
             for p in range(1, d):
-                matrix = koszul_flattening(P, k, p, orbits=True)
+                matrix = koszul_flattening(P, k, p)
                 result = _policy_rank(matrix, opts, _case_seed(seed, d, k, p))
                 yield ({"d": d, "k": k, "p": p, "method": result.method},
                        S_formula(p, d, k), result.rank)
@@ -177,7 +177,7 @@ def _verify_yfveronese(caps, seed, opts):
         P = Poly.monomial((d,) + (0,) * (d - 1))
         for k in range(1, d):
             for p in range(1, d):
-                observed = rank_exact(koszul_flattening(P, k, p, orbits=True)).rank
+                observed = rank_exact(koszul_flattening(P, k, p)).rank
                 yield {"d": d, "k": k, "p": p}, veronese_point_rank(d, p), observed
 
 
@@ -359,7 +359,7 @@ def run_scan(P: Poly, seed: int, opts: RankOptions) -> dict:
                 cell["skipped"] = "over column budget"
                 cells.append(cell)
                 continue
-            matrix = koszul_flattening(P, k, p, orbits=True)
+            matrix = koszul_flattening(P, k, p)
             result = _policy_rank(matrix, opts, _case_seed(seed, k, p))
             cell["rank"] = result.rank
             cell["method"] = result.method
@@ -439,7 +439,7 @@ def run_flatten(args, seed: int, opts: RankOptions) -> dict:
     elif args.kind == "shifted":
         matrix = shifted_partials(P, k, args.ell)
     else:
-        matrix = koszul_flattening(P, k, args.p, orbits=True)
+        matrix = koszul_flattening(P, k, args.p)
     result = _policy_rank(matrix, opts, seed)
     if args.dump_matrix:
         with open(args.dump_matrix, "w", encoding="utf-8") as handle:

@@ -30,6 +30,7 @@ from flatrank.formulas import (
     secant_chow_koszul_ub,
 )
 from flatrank.koszul import (
+    _full_koszul,
     exterior_derivative,
     koszul_flattening,
 )
@@ -330,7 +331,7 @@ def test_block_sum_consistency_full_grid():
         for k in range(1, d):
             for p in range(1, d):
                 ranks = Counter()
-                for c, count in _components(koszul_flattening(product, k, p)):
+                for c, count in _components(_full_koszul(product, k, p)):
                     ranks[rank_exact(c).rank] += count
                 if (ranks != expected_component_ranks(d, k, p)
                         or sum(r * n for r, n in ranks.items()) != S_formula(p, d, k)):

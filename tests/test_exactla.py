@@ -38,7 +38,7 @@ from flatrank.exactla import (
     _sparse_integer_rank,
     _times_mod,
 )
-from flatrank.koszul import koszul_flattening
+from flatrank.koszul import _full_koszul, koszul_flattening
 from flatrank.labcli import _case_seed
 from flatrank.symtensor import (
     catalecticant,
@@ -590,7 +590,7 @@ def test_dense_kernel_matches_the_sparse_oracle_slice_by_slice(case):
 def test_rank_modular_reduces_and_ranks_each_distinct_component_once_per_prime():
     # The (3, 3) cell of x1...x7: 393 components of 4 shapes, 16 of them
     # distinct, all dense; each distinct one is reduced and ranked once per prime.
-    m = koszul_flattening(gen_product(7), 3, 3)
+    m = _full_koszul(gen_product(7), 3, 3)
     assert m.n_cols > EXACT_COLUMN_LIMIT
     components = _components(m)
     assert sum(count for _, count in components) == 393
@@ -779,7 +779,7 @@ def test_sparse_matrix_validation():
 
 @pytest.mark.parametrize("m", [
     catalecticant(gen_random(3, 4, 7, 2**31 - 1), 2),
-    koszul_flattening(gen_product(4), 2, 1),
+    _full_koszul(gen_product(4), 2, 1),
     koszul_flattening(gen_power_sum_power(3, 2, 2), 1, 1),
     catalecticant(gen_random(2, 4, 3, 9).scale(Fraction(1, 3)), 2),
 ])

@@ -23,6 +23,7 @@ from flatrank.exactla import (
 )
 from flatrank.formulas import S_formula, hook_dim
 from flatrank.koszul import (
+    _full_koszul,
     _weight_orbits,
     exterior_derivative,
     koszul_flattening,
@@ -135,14 +136,14 @@ def test_product_components_are_weight_blocks():
         for k in range(1, d):
             for p in range(1, d):
                 ranks = Counter()
-                for c, count in _components(koszul_flattening(product, k, p)):
+                for c, count in _components(_full_koszul(product, k, p)):
                     ranks[rank_exact(c).rank] += count
                 assert ranks == expected_component_ranks(d, k, p), (d, k, p)
                 assert sum(r * n for r, n in ranks.items()) == S_formula(p, d, k)
     # d=3, (1,1): x2x3 (x) x1, x1x3 (x) x2 and x1x2 (x) x3 span the one
     # overlap-free block of rank 2; each of the six overlap-1 blocks is 1x1.
     shapes = Counter()
-    for c, count in _components(koszul_flattening(gen_product(3), 1, 1)):
+    for c, count in _components(_full_koszul(gen_product(3), 1, 1)):
         shapes[c.n_rows, c.n_cols, rank_exact(c).rank] += count
     assert shapes == Counter({(3, 3, 2): 1, (1, 1, 1): 6})
 
@@ -195,7 +196,7 @@ def test_weight_block_counts_match_formula():
         product = gen_product(d)
         for k in range(1, d):
             for p in range(1, d):
-                m = koszul_flattening(product, k, p)
+                m = _full_koszul(product, k, p)
                 counts = Counter(weight.count(2) for weight in product_weight_blocks(m))
                 expected = Counter()
                 for s in range(max(0, p - k), min(p, d - k) + 1):
@@ -256,7 +257,7 @@ def test_middle_cells_certify_the_odd_product_bound(n, rank, ceiling, closed_for
     # The d = 13 cell is ranked from one weight block per orbit: built in
     # full, it takes about 8 s.
     d = 2 * n + 1
-    result = rank_modular(koszul_flattening(gen_product(d), n, n, orbits=n == 6), 2, 0)
+    result = rank_modular(koszul_flattening(gen_product(d), n, n), 2, 0)
     assert result.rank == S_formula(n, d, n) == rank
     bounds = run_bounds(Namespace(family="odd-product", n=n), 0, RankOptions())
     assert -(-result.rank // binomial(2 * n, n)) == bounds["flattening_ratio_ceiling"] == ceiling
@@ -270,7 +271,7 @@ def test_block_sum_equals_assembled_rank():
         product = gen_product(d)
         for k in range(1, d):
             for p in range(1, d):
-                m = koszul_flattening(product, k, p)
+                m = _full_koszul(product, k, p)
                 assembled = rank_exact(m).rank
                 assert sum(count * rank_exact(c).rank for c, count in _components(m)) == assembled
                 assert assembled == S_formula(p, d, k)
@@ -340,8 +341,8 @@ def test_orbit_path_matches_the_full_build_on_product_cells():
         for k in range(1, d):
             for p in range(1, d):
                 seed = _case_seed(0, k, p)
-                full = rank_profile(koszul_flattening(product, k, p), seed)
-                assert rank_profile(koszul_flattening(product, k, p, orbits=True), seed) == full
+                full = rank_profile(_full_koszul(product, k, p), seed)
+                assert rank_profile(koszul_flattening(product, k, p), seed) == full
 
 
 @st.composite
@@ -363,8 +364,8 @@ def monomial_cells(draw):
 @given(monomial_cells(), st.integers(0, 2**32))
 def test_orbit_path_matches_the_full_build_on_random_monomials(cell, seed):
     P, k, p = cell
-    full = rank_profile(koszul_flattening(P, k, p), seed)
-    assert rank_profile(koszul_flattening(P, k, p, orbits=True), seed) == full
+    full = rank_profile(_full_koszul(P, k, p), seed)
+    assert rank_profile(koszul_flattening(P, k, p), seed) == full
 
 
 def weight_of(a, label, is_column):
@@ -410,7 +411,7 @@ def stabiliser_sample(a, rng, count):
 ])
 def test_weight_blocks_are_the_full_matrix_by_weight_and_permute_by_sign(a, coeff, k, p):
     P = Poly.monomial(a, coeff)
-    full = koszul_flattening(P, k, p)
+    full = _full_koszul(P, k, p)
     by_weight = defaultdict(dict)
     for i, j, v in full.entries():
         row, col = full.row_labels[i], full.col_labels[j]
@@ -449,8 +450,8 @@ def test_deferred_flattening_builds_only_when_its_entries_are_read():
         return True
 
     P = Poly.monomial((2, 1, 1, 0), Fraction(3, 2))
-    full = koszul_flattening(P, 2, 1)
-    m = koszul_flattening(P, 2, 1, orbits=True)
+    full = _full_koszul(P, 2, 1)
+    m = koszul_flattening(P, 2, 1)
     assert (rank_exact(m), rank_modular(m), m.nnz, m.is_zero()) == (
         rank_exact(full), rank_modular(full), full.nnz, False)
     assert m.row_labels == full.row_labels and not built(m)
