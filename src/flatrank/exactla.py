@@ -691,10 +691,20 @@ def _components(m: SparseMatrix) -> list[tuple[SparseMatrix, int]]:
     ri = np.zeros(m.nnz, dtype=np.int64)
     np.cumsum(m._rows[1:] != m._rows[:-1], out=ri[1:])
     n_r = int(ri[-1]) + 1
-    cols, cj = np.unique(m._cols, return_inverse=True)
-    comp = _component_labels(ri, cj + n_r, n_r + cols.size)
+    # The columns in use are numbered by counting them over a flag per
+    # column, unless the columns outnumber the entries fourfold or the
+    # indices are Python ints: the indices are sorted then.
+    if m._cols.dtype == object or m.n_cols > 4 * m.nnz:
+        cols, cj = np.unique(m._cols, return_inverse=True)
+        n_c = cols.size
+    else:
+        used = np.zeros(m.n_cols, dtype=bool)
+        used[m._cols] = True
+        index = np.cumsum(used) - 1
+        n_c, cj = int(index[-1]) + 1, index[m._cols]
+    comp = _component_labels(ri, cj + n_r, n_r + n_c)
     n_comp = int(comp.max()) + 1
-    if n_comp == 1 and (n_r, cols.size) == (m.n_rows, m.n_cols):
+    if n_comp == 1 and (n_r, n_c) == (m.n_rows, m.n_cols):
         return [(m, 1)]
     row_comp, col_comp = comp[:n_r], comp[n_r:]
     row_pos, col_pos = _positions(row_comp, n_comp), _positions(col_comp, n_comp)

@@ -88,7 +88,7 @@ class Poly:
         clean: dict[ExponentVector, Fraction] = {}
         for exps, coeff in terms.items():
             exps = tuple(exps)
-            if len(exps) != n_vars or any(e < 0 for e in exps):
+            if len(exps) != n_vars or min(exps) < 0:
                 raise ValueError(f"bad exponent vector {exps}")
             if sum(exps) != degree:
                 raise ValueError(f"term {exps} has degree {sum(exps)}, expected {degree}")
@@ -367,22 +367,42 @@ def _glex_rank(exps: np.ndarray) -> np.ndarray:
     The index counts the degree-``degree`` vectors that are lexicographically
     larger.  Those that first differ at position j number C(t + n-j-2, n-j-1),
     t the sum of the row beyond j (hockey-stick identity), so the index is a
-    sum of n-1 lookups in a binomial table over the sums t that occur.
+    sum of n-1 lookups in a binomial table, added column by column from a
+    running tail sum t that indexes the table directly.  A table over every
+    t up to the largest would outgrow ``exps`` when the degree is large, so
+    it is then made over the sums that occur, found by a sort.
     """
     n = exps.shape[1]
-    tails = np.cumsum(exps[:, :0:-1], axis=1)[:, ::-1]
-    # With return_inverse np.unique sorts; its hashing path imports numpy.ma.
-    sums, at = np.unique(tails, return_inverse=True)
-    table = np.array([[comb(t + n - j - 2, n - j - 1) for t in sums.tolist()]
-                      for j in range(n - 1)], dtype=np.int64).reshape(n - 1, sums.size)
-    return table[np.arange(n - 1), at.reshape(tails.shape)].sum(axis=1)
+    rank = np.zeros(len(exps), dtype=np.int64)
+    if not exps.size:
+        return rank
+    top = int(exps[:, 1:].sum(axis=1).max())
+    if (n - 1) * (top + 1) > exps.size:
+        tails = np.cumsum(exps[:, :0:-1], axis=1)[:, ::-1]
+        # With return_inverse np.unique sorts; its hashing path imports numpy.ma.
+        sums, at = np.unique(tails, return_inverse=True)
+        table = np.array([[comb(t + n - j - 2, n - j - 1) for t in sums.tolist()]
+                          for j in range(n - 1)], dtype=np.int64).reshape(n - 1, sums.size)
+        return table[np.arange(n - 1), at.reshape(tails.shape)].sum(axis=1)
+    table = np.array([[comb(t + n - j - 2, n - j - 1) for t in range(top + 1)]
+                      for j in range(n - 1)], dtype=np.int64)
+    tail = np.zeros(len(exps), dtype=np.int64)
+    for j in range(n - 2, -1, -1):
+        tail += exps[:, j + 1]
+        rank += table[j, tail]
+    return rank
+
+
+def _bits(a: np.ndarray) -> int:
+    """Bit length of the largest magnitude in the nonempty integer array a."""
+    return int(np.abs(a).max()).bit_length()
 
 
 def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Entrywise product of two integer arrays: int64 when the bit lengths
     prove it fits, exact Python ints otherwise."""
-    if not a.size or sum(int(np.abs(x).max()).bit_length() for x in (a, b)) < 63:
-        return a.astype(np.int64) * b.astype(np.int64)
+    if not a.size or _bits(a) + _bits(b) < 63:
+        return a.astype(np.int64, copy=False) * b.astype(np.int64, copy=False)
     return a.astype(object) * b.astype(object)
 
 
@@ -402,7 +422,7 @@ def _derivative_pattern(P: Poly, k: int):
     tails = np.cumsum(beta[:, ::-1], axis=1)[:, ::-1] - beta
     term = np.arange(len(beta))
     rest = np.full(len(beta), k)
-    alpha = np.zeros((len(beta), 0), dtype=np.int64)
+    columns: list[np.ndarray] = []
     for j in range(n):
         low = np.maximum(rest - tails[term, j], 0)
         counts = np.maximum(np.minimum(beta[term, j], rest) - low + 1, 0)
@@ -410,16 +430,31 @@ def _derivative_pattern(P: Poly, k: int):
         # a runs over low, low + 1, ..., low + count - 1 for each partial alpha.
         a = low[pick] + np.arange(pick.size) - np.repeat(np.cumsum(counts) - counts, counts)
         term, rest = term[pick], rest[pick] - a
-        alpha = np.column_stack([alpha[pick], a])
+        columns = [column[pick] for column in columns] + [a]
+    alpha = np.stack(columns, axis=1)
+    del columns  # copied into alpha, and freed before m is made
     # Each factor is a product of falling factorials, at most d!/(d-k)!,
-    # tabled over the exponents and orders that occur.
-    bs, at_b = np.unique(beta, return_inverse=True)
-    alphas, at_a = np.unique(alpha, return_inverse=True)
-    falling = np.array([[_falling(b, a) for a in alphas.tolist()] for b in bs.tolist()],
-                       dtype=np.int64 if _falling(P.degree, k).bit_length() < 63 else object)
-    falling = falling.reshape(bs.size, alphas.size)
-    factor = falling[at_b.reshape(beta.shape)[term], at_a.reshape(alpha.shape)].prod(axis=1)
-    return term, alpha, beta[term] - alpha, factor
+    # looked up by (exponent, order) in a table over every exponent up to
+    # the largest.  When that table would outgrow the pattern, it is made
+    # over the exponents and orders that occur instead, found by a sort.
+    dtype = np.int64 if _falling(P.degree, k).bit_length() < 63 else object
+    top = int(beta.max()) if beta.size else 0
+    orders = min(k, top) + 1
+    if (top + 1) * orders > term.size:
+        bs, at_b = np.unique(beta, return_inverse=True)
+        alphas, at_a = np.unique(alpha, return_inverse=True)
+        falling = np.array([[_falling(b, a) for a in alphas.tolist()] for b in bs.tolist()],
+                           dtype=dtype).reshape(bs.size, alphas.size)
+        factor = falling[at_b.reshape(beta.shape)[term], at_a.reshape(alpha.shape)].prod(axis=1)
+    else:
+        falling = np.array([[_falling(b, a) for a in range(orders)] for b in range(top + 1)],
+                           dtype=dtype)
+        factor = np.ones(term.size, dtype=dtype)
+        for j in range(n):
+            factor *= falling[beta[term, j], alpha[:, j]]
+    m = beta[term]
+    m -= alpha
+    return term, alpha, m, factor
 
 
 def _basis_size(n_vars: int, degree: int) -> int:
@@ -438,14 +473,26 @@ def _from_pattern(coeffs: Sequence, row, col, term, factor, shape, labels) -> Sp
     if row.size and not (0 <= row.min() and row.max() < n_rows
                          and 0 <= col.min() and col.max() < n_cols):
         raise ValueError(f"pattern position outside a {n_rows}x{n_cols} matrix")
-    order = np.lexsort((col, row))
+    if n_rows * n_cols < 2**63:
+        # Positions are distinct, or refused below, so no sort order is lost.
+        order = np.argsort(row * n_cols + col)
+    else:
+        order = np.lexsort((col, row))
     row, col = row[order], col[order]
     if ((row[1:] == row[:-1]) & (col[1:] == col[:-1])).any():
         raise ValueError("pattern lists a position twice")
     den = lcm(*(c.denominator for c in coeffs))
     num = np.array([c.numerator * (den // c.denominator) for c in coeffs], dtype=object)
-    return SparseMatrix._wrap(n_rows, n_cols, row, col, _times(num[term[order]], factor[order]),
-                              labels, den)
+    # The numerators gathered are those of the terms that occur: int64 holds
+    # them, and each product, exactly when _times on the gathered pair says so.
+    used = np.zeros(num.size, dtype=bool)
+    used[term] = True
+    if term.size and _bits(num[used]) + _bits(factor) >= 63:
+        values = num[term[order]] * factor[order].astype(object)
+    else:
+        values = np.where(used, num, 0).astype(np.int64)[term[order]]
+        values *= factor[order].astype(np.int64, copy=False)
+    return SparseMatrix._wrap(n_rows, n_cols, row, col, values, labels, den)
 
 
 def catalecticant(P: Poly, k: int) -> SparseMatrix:

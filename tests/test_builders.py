@@ -3,7 +3,10 @@ independent per-source oracle and the Koszul factorization through the
 catalecticant."""
 
 import hashlib
+import itertools
+import tracemalloc
 from fractions import Fraction
+from math import comb, lcm
 from unittest import mock
 
 import numpy as np
@@ -264,12 +267,75 @@ def test_falling_factorials_are_tabled_only_where_they_occur():
     assert m.entries() == [(0, 1, 1), (1, 0, 10**5)]
 
 
+def test_permanent_catalecticant_memory_follows_the_pattern():
+    # gen_permanent stops at n = 5, so the 720 terms of the 6 x 6 permanent
+    # are listed here.  Its middle catalecticant has 14,400 nonzeros.
+    terms = {}
+    for sigma in itertools.permutations(range(6)):
+        exps = [0] * 36
+        for i, j in enumerate(sigma):
+            exps[6 * i + j] = 1
+        terms[tuple(exps)] = 1
+    P = Poly(36, 6, terms)
+    tracemalloc.start()
+    try:
+        m = catalecticant(P, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (m.n_rows, m.n_cols, m.nnz) == (8436, 8436, 14400)
+    assert peak < 24 * 2**20
+
+
 @pytest.mark.parametrize("n", range(1, 6))
 def test_glex_rank_is_the_basis_index(n):
     for degree in range(6):
         basis = monomial_basis(n, degree)
         ranks = _glex_rank(np.array(basis, dtype=np.int64).reshape(len(basis), n))
         assert ranks.tolist() == list(range(len(basis)))
+
+
+def basis_index(row) -> int:
+    """Index of ``row`` in monomial_basis(len(row), sum(row)), counted
+    directly: the vectors of that degree that are lexicographically larger,
+    by the first position j where they differ and their value v there."""
+    n, left, index = len(row), sum(row), 0
+    for j, e in enumerate(row[:-1]):
+        index += sum(comb(left - v + n - j - 2, n - j - 2) for v in range(e + 1, left + 1))
+        left -= e
+    return index
+
+
+@st.composite
+def glex_rows(draw, n, big):
+    """An exponent row in n variables: of degree 10^5 with a tail sum
+    (the sum past x1) between 100 and 1000 when ``big``, else of degree at
+    most 6."""
+    degree = 10**5 if big else draw(st.integers(0, 6))
+    if n == 1:
+        return (degree,)
+    tail = draw(st.integers(100, 1000) if big else st.integers(0, degree))
+    cuts = sorted(draw(st.lists(st.integers(0, tail), min_size=n - 2, max_size=n - 2)))
+    return (degree - tail, *(b - a for a, b in zip([0, *cuts], [*cuts, tail])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.booleans(), st.data())
+def test_glex_rank_counts_the_larger_vectors(n, big, data):
+    # At least 7 rows of degree at most 6 take the binomial table over every
+    # tail sum, with no sort; at most 8 rows of degree 10^5 would need a
+    # table past the rows' own size, and sort the sums that occur instead.
+    rows = data.draw(st.lists(glex_rows(n, big), min_size=1 if big else 7,
+                              max_size=8 if big else 30))
+    if not big:
+        degree = max(map(sum, rows))
+        basis = monomial_basis(n, degree)
+        assert [basis_index(r) for r in basis] == list(range(len(basis)))
+    with mock.patch.object(np, "unique", wraps=np.unique) as unique:
+        ranks = _glex_rank(np.array(rows, dtype=np.int64).reshape(len(rows), n))
+    assert ranks.dtype == np.int64
+    assert ranks.tolist() == [basis_index(r) for r in rows]
+    assert unique.called == (big and n > 1)
 
 
 @settings(max_examples=30, deadline=None)
@@ -313,3 +379,60 @@ def test_from_pattern_refuses_a_position_outside_or_listed_twice():
     for row, col in (([0, 2], [1, 0]), ([0, 1], [1, -1]), ([1, 1], [0, 0])):
         with pytest.raises(ValueError):
             build(row, col)
+
+
+def gathered_values(coeffs, term, factor, order):
+    """The values of a pattern gathered as the builders first did: Python-int
+    numerators over the common denominator picked per position, multiplied
+    in int64 when the bit lengths of the two gathered arrays prove it exact."""
+    den = lcm(*(c.denominator for c in coeffs))
+    num = np.array([c.numerator * (den // c.denominator) for c in coeffs], dtype=object)
+    a, b = num[term[order]], factor[order]
+    if not a.size or sum(int(np.abs(x).max()).bit_length() for x in (a, b)) < 63:
+        return a.astype(np.int64) * b.astype(np.int64)
+    return a.astype(object) * b.astype(object)
+
+
+# Magnitudes on both sides of the int64 bound, alone and as a product.
+NEAR_BOUND = st.sampled_from([1, 2, 3, 2**31 - 1, 2**62 - 1, 2**62, 2**62 + 1, 2**63 + 5])
+
+
+@st.composite
+def patterns(draw):
+    """(coeffs, row, col, term, factor, shape) with distinct positions in
+    random order, coefficients near 2^62 or fractional, some unused, and
+    factors int64 or Python ints; the shape has 2^62 more rows on demand,
+    past the int64 key row * n_cols + col."""
+    numerator = st.builds(lambda m, s: m * s, NEAR_BOUND | st.integers(1, 50),
+                          st.sampled_from([1, -1]))
+    coeffs = draw(st.lists(st.builds(Fraction, numerator, st.sampled_from([1, 1, 2, 3, 7])),
+                           min_size=1, max_size=5))
+    n_rows, n_cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    cells = draw(st.lists(st.tuples(st.integers(0, n_rows - 1), st.integers(0, n_cols - 1)),
+                          unique=True, max_size=n_rows * n_cols))
+    row = np.array([i for i, _ in cells], dtype=np.int64)
+    col = np.array([j for _, j in cells], dtype=np.int64)
+    term = np.array(draw(st.lists(st.integers(0, len(coeffs) - 1), min_size=len(cells),
+                                  max_size=len(cells))), dtype=np.int64)
+    factors = draw(st.lists(st.builds(lambda m, s: m * s, NEAR_BOUND | st.integers(1, 9),
+                                      st.sampled_from([1, -1])),
+                            min_size=len(cells), max_size=len(cells)))
+    if all(abs(f) < 2**63 for f in factors) and draw(st.booleans()):
+        factor = np.array(factors, dtype=np.int64)
+    else:
+        factor = np.array(factors, dtype=object)
+    shape = (n_rows + draw(st.sampled_from([0, 2**62])), n_cols)
+    return coeffs, row, col, term, factor, shape
+
+
+@settings(max_examples=200, deadline=None)
+@given(patterns())
+def test_from_pattern_values_match_the_object_gather(pattern):
+    coeffs, row, col, term, factor, shape = pattern
+    m = _from_pattern(coeffs, row, col, term, factor, shape, None)
+    order = np.lexsort((col, row))
+    expected = gathered_values(coeffs, term, factor, order)
+    assert m._values.dtype == expected.dtype
+    assert m._values.tolist() == expected.tolist()
+    assert m._rows.tolist() == row[order].tolist() and m._cols.tolist() == col[order].tolist()
+    assert m._den == lcm(*(c.denominator for c in coeffs))

@@ -2,6 +2,7 @@
 
 import random
 import tracemalloc
+from collections import Counter, defaultdict
 from decimal import Decimal
 from fractions import Fraction
 from unittest import mock
@@ -244,6 +245,53 @@ def test_component_rank_mod_q_matches_dense_kernel(m, q):
     for fill in (2.0, 0.0):
         with mock.patch.object(exactla, "DENSE_FILL", fill):
             assert _modular_rank(components, q) == reference
+
+
+def compacted_components(m):
+    """The distinct components of m with their counts, as (n_rows, n_cols,
+    entries): grouped by union-find, each compacted by np.unique."""
+    parent = {}
+
+    def find(x):
+        while parent.setdefault(x, x) != x:
+            x = parent[x]
+        return x
+
+    for i, j, _ in m.entries():
+        parent[find(("r", i))] = find(("c", j))
+    groups = defaultdict(list)
+    for i, j, v in m.entries():
+        groups[find(("r", i))].append((i, j, v))
+    found = Counter()
+    for entries in groups.values():
+        rows, cols, values = zip(*entries)
+        used_rows, local_rows = np.unique(np.array(rows, dtype=object), return_inverse=True)
+        used_cols, local_cols = np.unique(np.array(cols, dtype=object), return_inverse=True)
+        found[(used_rows.size, used_cols.size,
+               tuple(sorted(zip(local_rows.tolist(), local_cols.tolist(), values))))] += 1
+    return found
+
+
+@settings(max_examples=80, deadline=None)
+@given(permuted_block_diagonal(), st.sampled_from(["counted", "wide", "object"]))
+def test_components_agree_with_union_find_and_unique_compaction(m, columns):
+    # "counted": only the columns in use, so they are numbered by counting;
+    # "wide": spread a million apart, far wider than nnz; "object": counted,
+    # but the rows shifted past 2^63, so the index arrays hold Python ints.
+    used = sorted({j for _, j, _ in m.entries()})
+    place = ({j: 10**6 * j for j in used} if columns == "wide"
+             else dict(zip(used, range(len(used)))))
+    n_cols = 10**6 * m.n_cols if columns == "wide" else len(used)
+    shift = 2**63 if columns == "object" else 0
+    m = SparseMatrix(m.n_rows + shift, n_cols,
+                     [(i + shift, place[j], v) for i, j, v in m.entries()])
+    assert (m._cols.dtype == object) == (columns == "object")
+    components = _components(m)
+    assert sum(count for _, count in components) == union_find_components(m)
+    found = Counter()
+    for c, count in components:
+        found[(c.n_rows, c.n_cols, tuple(c.entries()))] += count
+    assert found == compacted_components(m)
 
 
 @st.composite
