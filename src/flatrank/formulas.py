@@ -207,6 +207,9 @@ def psp_rank_bounds(r: int, delta1: int, delta2: int, k: int) -> BoundReport:
     (C(r, delta1), delta1*C(r, delta1)*C(floor(d/2)-1, delta1-1)) is
     attached as ``secondary``.
     """
+    for name, value in (("r", r), ("delta1", delta1), ("delta2", delta2)):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, not {value}")
     d = delta1 * delta2
     if not 1 <= k < d:
         raise ValueError(f"derivative order k={k} outside [1, {d - 1}]")

@@ -32,6 +32,7 @@ from .symtensor import (
     Poly,
     _basis_size,
     _derivative_pattern,
+    _flattening_shape,
     _from_pattern,
     _glex_rank,
     _times,
@@ -93,6 +94,13 @@ def _exterior_pattern(group, m, factor, n_vars: int, p: int):
     return row, col, source[pick], _times(scaled[pick], sign[var, slot])
 
 
+def _wedge_labels(n: int, a: int, b: int, p: int):
+    """Labels, listed when called, of degree-a monomials (x) (p+1)-wedges
+    (rows) and degree-b monomials (x) p-wedges (columns)."""
+    return lambda: (itertools.product(monomial_basis(n, a), wedge_basis(n, p + 1)),
+                    itertools.product(monomial_basis(n, b), wedge_basis(n, p)))
+
+
 def exterior_derivative(a: int, p: int, n_vars: int) -> SparseMatrix:
     """Matrix of the exterior derivative on degree-a monomials tensored with
     p-wedges: each linear factor of the monomial is peeled off and wedged in.
@@ -107,38 +115,27 @@ def exterior_derivative(a: int, p: int, n_vars: int) -> SparseMatrix:
     ones = np.ones(len(sources), dtype=np.int64)
     row, col, source, factor = _exterior_pattern(
         np.arange(len(sources)), sources, ones, n_vars, p)
-    return _from_pattern(
-        [1], row, col, np.zeros_like(source), factor, shape,
-        lambda: (itertools.product(monomial_basis(n_vars, a - 1), wedge_basis(n_vars, p + 1)),
-                 itertools.product(monomial_basis(n_vars, a), wedge_basis(n_vars, p))),
-    )
+    return _from_pattern([1], row, col, np.zeros_like(source), factor, shape,
+                         _wedge_labels(n_vars, a - 1, a, p))
 
 
-def _koszul_shape_and_labels(P: Poly, k: int, p: int):
-    d, n = P.degree, P.n_vars
-    if d < 2:
-        raise ValueError("need a form of degree at least 2")
-    if not 1 <= k < d:
-        raise ValueError(f"derivative order k={k} outside [1, {d - 1}]")
+def _koszul_shape(P: Poly, k: int, p: int) -> tuple[int, int]:
+    """(rows, columns) of ``koszul_flattening(P, k, p)``, or its ValueError."""
+    _, n_cols = _flattening_shape(P, k)
+    n = P.n_vars
     if not 1 <= p < n:
         raise ValueError(f"wedge degree p={p} outside [1, {n - 1}]")
-    shape = _int64_shape(_basis_size(n, d - k - 1) * comb(n, p + 1),
-                         _basis_size(n, k) * comb(n, p))
-
-    def labels():
-        return (itertools.product(monomial_basis(n, d - k - 1), wedge_basis(n, p + 1)),
-                itertools.product(monomial_basis(n, k), wedge_basis(n, p)))
-
-    return shape, labels
+    return _basis_size(n, P.degree - k - 1) * comb(n, p + 1), n_cols * comb(n, p)
 
 
 def _full_koszul(P: Poly, k: int, p: int) -> SparseMatrix:
     """The Koszul flattening of P at (k, p), built in full from the compiled
     derivative and exterior patterns."""
-    shape, labels = _koszul_shape_and_labels(P, k, p)
+    shape = _int64_shape(*_koszul_shape(P, k, p))
     term, alpha, m, factor = _derivative_pattern(P, k)
     row, col, pair, scaled = _exterior_pattern(_glex_rank(alpha), m, factor, P.n_vars, p)
-    return _from_pattern(list(P.terms.values()), row, col, term[pair], scaled, shape, labels)
+    return _from_pattern(list(P.terms.values()), row, col, term[pair], scaled, shape,
+                         _wedge_labels(P.n_vars, P.degree - k - 1, k, p))
 
 
 def koszul_flattening(P: Poly, k: int, p: int) -> SparseMatrix:
@@ -153,11 +150,12 @@ def koszul_flattening(P: Poly, k: int, p: int) -> SparseMatrix:
     Other forms, and a degree past int64 (which the full build refuses),
     are built in full.
     """
-    shape, labels = _koszul_shape_and_labels(P, k, p)
+    shape = _int64_shape(*_koszul_shape(P, k, p))
     if len(P.terms) == 1 and P.degree < 2**63:
         ((_, c),) = P.terms.items()
         return SparseMatrix._deferred(*shape, monomial_blocks(P, k, p), c.denominator,
-                                      lambda: _full_koszul(P, k, p), labels)
+                                      lambda: _full_koszul(P, k, p),
+                                      _wedge_labels(P.n_vars, P.degree - k - 1, k, p))
     return _full_koszul(P, k, p)
 
 

@@ -46,11 +46,12 @@ from .formulas import (
     secant_chow_koszul_ub,
     veronese_point_rank,
 )
-from .koszul import koszul_flattening
+from .koszul import _koszul_shape, koszul_flattening
 from .symtensor import (
     InhomogeneityError,
     ParseError,
     Poly,
+    _flattening_shape,
     catalecticant,
     gen_kyfl11_witness,
     gen_permanent,
@@ -181,9 +182,11 @@ def _verify_yfveronese(caps, seed, opts):
                 yield {"d": d, "k": k, "p": p}, veronese_point_rank(d, p), observed
 
 
-def _trace_product(matrix: SparseMatrix, n: int) -> SparseMatrix:
-    """matrix times the coordinate vector of sum_i (dual x_i) (x) x_i."""
-    entries = [((i * n) + i, 0, 1) for i in range(n)]
+def _trace_product(matrix: SparseMatrix) -> SparseMatrix:
+    """matrix, a (1, 1) Koszul flattening, times the coordinate vector of
+    sum_i (dual x_i) (x) x_i: 1 in each column labeled (e_i, (i,)), e_i the
+    exponent vector of x_i."""
+    entries = [(j, 0, 1) for j, (e, (i,)) in enumerate(matrix.col_labels) if e[i - 1]]
     vector = SparseMatrix(matrix.n_cols, 1, entries)
     return matrix.multiply(vector)
 
@@ -197,8 +200,7 @@ def _verify_kyfl11(caps, seed, opts):
             random_p = gen_random(n, d, _case_seed(seed, n, d), 1000)
             random_m = koszul_flattening(random_p, 1, 1)
             yield {"n": n, "d": d, "part": "random"}, expected, rank_exact(random_m).rank
-            in_kernel = (_trace_product(witness, n).is_zero()
-                         and _trace_product(random_m, n).is_zero())
+            in_kernel = _trace_product(witness).is_zero() and _trace_product(random_m).is_zero()
             yield {"n": n, "d": d, "part": "trace_kernel"}, True, in_kernel
 
 
@@ -253,7 +255,7 @@ def _verify_numab(caps, seed, opts):
                             total += num_ab(a_val, b_val, k, delta1, delta2, r) * dim_a
                     params = {"r": r, "delta1": delta1, "delta2": delta2, "k": k}
                     yield {**params, "part": "class_partition"}, binomial(k + r - 1, k), total
-                    if binomial(k + r - 1, k) <= 300:
+                    if _flattening_shape(P, k)[1] <= 300:
                         report = psp_rank_bounds(r, delta1, delta2, k)
                         observed = rank_exact(catalecticant(P, k)).rank
                         yield ({**params, "part": "sandwich"},
@@ -348,12 +350,15 @@ def run_scan(P: Poly, seed: int, opts: RankOptions) -> dict:
     d, n = P.degree, P.n_vars
     if d < 2:
         raise ValueError("scan needs a form of degree at least 2")
+    if n < 2:
+        raise ValueError("scan needs a form in at least 2 variables: "
+                         "every Koszul cell has 1 <= p < n_vars")
     cells = []
     best = 0
     best_cells = []
     for k in range(1, d):
         for p in range(1, n):
-            n_cols = binomial(k + n - 1, k) * binomial(n, p)
+            _, n_cols = _koszul_shape(P, k, p)
             cell = {"k": k, "p": p, "n_cols": n_cols}
             if n_cols > opts.budget_cols:
                 cell["skipped"] = "over column budget"
@@ -419,33 +424,30 @@ def _load_poly(args) -> Poly:
     return parse_poly(text, n_vars)
 
 
+# flatten --kind: builder (looked up when called), shape function, flag of the third argument.
+FLATTEN_KINDS = {
+    "cat": (lambda *a: catalecticant(*a), _flattening_shape, None),
+    "shifted": (lambda *a: shifted_partials(*a), _flattening_shape, "ell"),
+    "koszul": (lambda *a: koszul_flattening(*a), _koszul_shape, "p"),
+}
+
+
 def run_flatten(args, seed: int, opts: RankOptions) -> dict:
     P = _load_poly(args)
-    n, k = P.n_vars, args.k
-    n_cols = binomial(k + n - 1, k)
-    if args.kind == "shifted":
-        if args.ell is None:
-            raise ValueError("--ell is required for the shifted kind")
-        n_cols *= binomial(args.ell + n - 1, args.ell)
-    elif args.kind == "koszul":
-        if args.p is None:
-            raise ValueError("--p is required for the koszul kind")
-        n_cols *= binomial(n, args.p)
+    build, shape, flag = FLATTEN_KINDS[args.kind]
+    tail = {flag: getattr(args, flag)} if flag else {}
+    if None in tail.values():
+        raise ValueError(f"--{flag} is required for the {args.kind} kind")
+    _, n_cols = shape(P, args.k, *tail.values())
     if n_cols > opts.budget_cols:
         raise ValueError(f"matrix has {n_cols} columns, over the "
                          f"--budget-cols limit {opts.budget_cols}")
-    if args.kind == "cat":
-        matrix = catalecticant(P, k)
-    elif args.kind == "shifted":
-        matrix = shifted_partials(P, k, args.ell)
-    else:
-        matrix = koszul_flattening(P, k, args.p)
+    matrix = build(P, args.k, *tail.values())
     result = _policy_rank(matrix, opts, seed)
     if args.dump_matrix:
         with open(args.dump_matrix, "w", encoding="utf-8") as handle:
             handle.write(matrix.to_coordinate_text())
     head = {"subject": P.to_text(), "kind": args.kind, "k": args.k}
-    tail = {"shifted": {"ell": args.ell}, "koszul": {"p": args.p}}.get(args.kind, {})
     return _rank_report(head, matrix, result, **tail)
 
 
@@ -515,7 +517,8 @@ def run_bounds(args, seed: int, opts: RankOptions) -> dict:
         }
         if report.secondary:
             out["coarse_lower"], out["coarse_upper"] = report.secondary
-        n_cols = binomial(args.k + args.r - 1, args.k)
+        # The catalecticant's shape depends only on the form's variables and degree.
+        _, n_cols = _flattening_shape(Poly.zero(args.r, args.delta1 * args.delta2), args.k)
         if n_cols <= opts.budget_cols:
             P = gen_power_sum_power(args.r, args.delta1, args.delta2)
             out["rank"] = _policy_rank(catalecticant(P, args.k), opts, seed).rank
@@ -718,7 +721,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     flatten = sub.add_parser("flatten", parents=[common, form],
                              help="build a flattening matrix and report its rank")
-    flatten.add_argument("--kind", choices=("cat", "shifted", "koszul"), required=True)
+    flatten.add_argument("--kind", choices=tuple(FLATTEN_KINDS), required=True)
     flatten.add_argument("--k", type=int, required=True, help="derivative order")
     flatten.add_argument("--ell", type=int, default=None, help="shift degree")
     flatten.add_argument("--p", type=int, default=None, help="wedge degree")

@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .exactla import SparseMatrix, _exact, _int64_shape
+from .exactla import SparseMatrix, _exact, _int64_shape, binomial
 
 ExponentVector = tuple[int, ...]
 
@@ -458,8 +458,23 @@ def _derivative_pattern(P: Poly, k: int):
 
 
 def _basis_size(n_vars: int, degree: int) -> int:
-    """len(monomial_basis(n_vars, degree)), without listing it."""
-    return comb(degree + n_vars - 1, n_vars - 1)
+    """len(monomial_basis(n_vars, degree)), without listing it: 0 below degree 0."""
+    return binomial(degree + n_vars - 1, degree)
+
+
+def _flattening_shape(P: Poly, k: int, ell: int = 0) -> tuple[int, int]:
+    """(rows, columns) of ``catalecticant(P, k)`` at ell = 0, else of
+    ``shifted_partials(P, k, ell)``, from binomials, or the ValueError that
+    builder raises for P and k.  ``shifted_partials`` itself refuses ell < 1,
+    which gives 1 column here at ell = 0 and none below."""
+    d, n = P.degree, P.n_vars
+    if ell and (P.is_zero() or d < 2):
+        raise ValueError("need a nonzero form of degree at least 2")
+    if d < 2:
+        raise ValueError("need a form of degree at least 2")
+    if not 1 <= k < d:
+        raise ValueError(f"derivative order k={k} outside [1, {d - 1}]")
+    return _basis_size(n, d - k + ell), _basis_size(n, k) * _basis_size(n, ell)
 
 
 def _from_pattern(coeffs: Sequence, row, col, term, factor, shape, labels) -> SparseMatrix:
@@ -503,11 +518,7 @@ def catalecticant(P: Poly, k: int) -> SparseMatrix:
     which rescales columns only and leaves the rank unchanged.
     """
     d, n = P.degree, P.n_vars
-    if d < 2:
-        raise ValueError("need a form of degree at least 2")
-    if not 1 <= k < d:
-        raise ValueError(f"derivative order k={k} outside [1, {d - 1}]")
-    shape = _int64_shape(_basis_size(n, d - k), _basis_size(n, k))
+    shape = _int64_shape(*_flattening_shape(P, k))
     term, alpha, m, factor = _derivative_pattern(P, k)
     return _from_pattern(
         list(P.terms.values()), _glex_rank(m), _glex_rank(alpha), term, factor,
@@ -520,13 +531,10 @@ def shifted_partials(P: Poly, k: int, ell: int) -> SparseMatrix:
     coefficients of m * (alpha-th derivative) in the degree-(d-k+ell) basis.
     """
     d, n = P.degree, P.n_vars
-    if P.is_zero() or d < 2:
-        raise ValueError("need a nonzero form of degree at least 2")
-    if not 1 <= k < d:
-        raise ValueError(f"derivative order k={k} outside [1, {d - 1}]")
+    n_rows, n_cols = _flattening_shape(P, k, ell)
     if ell < 1:
         raise ValueError("shift degree must be at least 1")
-    shape = _int64_shape(_basis_size(n, d - k + ell), _basis_size(n, k) * _basis_size(n, ell))
+    shape = _int64_shape(n_rows, n_cols)
     shifts = monomial_basis(n, ell)
     term, alpha, m, factor = _derivative_pattern(P, k)
     pick = np.repeat(np.arange(term.size), len(shifts))

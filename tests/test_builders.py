@@ -2,7 +2,9 @@
 independent per-source oracle and the Koszul factorization through the
 catalecticant."""
 
+import contextlib
 import hashlib
+import io
 import itertools
 import tracemalloc
 from fractions import Fraction
@@ -23,9 +25,17 @@ from flatrank.exactla import (
     rank_modular,
 )
 from flatrank import symtensor
-from flatrank.koszul import exterior_derivative, koszul_flattening, wedge_basis, wedge_insert
+from flatrank.koszul import (
+    _koszul_shape,
+    exterior_derivative,
+    koszul_flattening,
+    wedge_basis,
+    wedge_insert,
+)
+from flatrank.labcli import main
 from flatrank.symtensor import (
     Poly,
+    _flattening_shape,
     _from_pattern,
     _glex_rank,
     catalecticant,
@@ -237,6 +247,40 @@ def test_builders_match_per_source_oracle(P):
             assert_same(koszul_flattening(P, k, p), oracle_koszul_flattening(P, k, p))
     for p in range(n):
         assert_same(exterior_derivative(d, p, n), oracle_exterior_derivative(d, p, n))
+
+
+# flatten --kind, builder, shape function, flag of the third argument.
+SHAPED_KINDS = [
+    ("cat", catalecticant, _flattening_shape, None),
+    ("shifted", shifted_partials, _flattening_shape, "--ell"),
+    ("koszul", koszul_flattening, _koszul_shape, "--p"),
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_forms(), st.sampled_from(SHAPED_KINDS), st.data())
+def test_shape_functions_size_and_refuse_like_their_builders(P, kind, data):
+    name, build, shape, flag = kind
+    # Each range reaches below and above the valid values, negatives included.
+    k = data.draw(st.integers(-1, P.degree), label="k")
+    args = (P, k)
+    if flag:
+        args += (data.draw(st.integers(-1, 3) if flag == "--ell" else st.integers(-1, P.n_vars),
+                           label=flag),)
+    try:
+        m = build(*args)
+    except ValueError as exc:
+        # flatten runs the shape function before the builder: a refusal by
+        # either must read as the builder's own.
+        argv = ["flatten", "--n-vars", str(P.n_vars), "--kind", name, "--k", str(k),
+                "--budget-cols", str(2**62), *([flag, str(args[2])] if flag else []),
+                "--", P.to_text()]  # after "--", a form may start with "-"
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main(argv)
+        assert (code, err.getvalue()) == (2, f"flatrank: error: {exc}\n")
+    else:
+        # The labels are listed from monomial and wedge bases, not binomials.
+        assert shape(*args) == (m.n_rows, m.n_cols) == (len(m.row_labels), len(m.col_labels))
 
 
 def test_zero_form_builds_empty_matrices():

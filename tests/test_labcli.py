@@ -365,6 +365,16 @@ def test_scan_warns_when_the_ambient_dimension_exceeds_the_degree(capsys):
     assert "warning" not in out
 
 
+@pytest.mark.parametrize("form", ["x1^2", "x1^5"])
+def test_scan_of_a_one_variable_form_exits_2(capsys, form):
+    # 1 <= p < n_vars has no solution, so no Koszul cell exists to bound anything.
+    code, out, err = run_cli(capsys, "scan", form)
+    assert (code, out) == (2, "")
+    assert "scan needs a form in at least 2 variables" in err
+    code, out, _ = run_cli(capsys, "scan", form, "--n-vars", "2")
+    assert code == 0 and "best_bound: 1" in out
+
+
 def test_scan_respects_budget(capsys):
     code, out, _ = run_cli(capsys, "scan", "x1*x2*x3*x4*x5", "--budget-cols", "60")
     assert code == 0
@@ -476,6 +486,18 @@ def test_bounds_refuses_arguments_whose_closed_forms_would_hang(capsys, argv):
     assert time.perf_counter() - started < 1
     assert (code, out) == (2, "")
     assert "over its limit" in err
+
+
+@pytest.mark.parametrize("r, delta1, delta2, message", [
+    ("0", "2", "2", "r must be at least 1, not 0"),
+    ("2", "0", "2", "delta1 must be at least 1, not 0"),
+    ("2", "2", "-1", "delta2 must be at least 1, not -1"),
+])
+def test_bounds_powersum_names_a_parameter_below_one(capsys, r, delta1, delta2, message):
+    # Checked before k, whose range [1, delta1*delta2 - 1] they would make empty.
+    code, out, err = run_cli(capsys, "bounds", "--family", "powersum", "--r", r,
+                             "--delta1", delta1, "--delta2", delta2, "--k", "1")
+    assert (code, out, err) == (2, "", f"flatrank: error: {message}\n")
 
 
 def test_bounds_powersum_reports_the_coarse_pair(capsys):
