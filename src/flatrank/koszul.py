@@ -83,15 +83,13 @@ def _exterior_pattern(group, m, factor, n_vars: int, p: int):
     scaled = _times(factor[source], m[source, i])
     lower = m[source]
     lower[np.arange(source.size), i] -= 1
-    lower_rank = _glex_rank(lower)
     small, big, sign = _insertions(n_vars, p)
-    width = small.shape[1]
-    pick = np.repeat(np.arange(source.size), width)
-    slot = np.tile(np.arange(width), source.size)
-    var = i[pick]
-    row = lower_rank[pick] * comb(n_vars, p + 1) + big[var, slot]
-    col = group[source][pick] * comb(n_vars, p) + small[var, slot]
-    return row, col, source[pick], _times(scaled[pick], sign[var, slot])
+    # (pair, wedge) grids, raveled pair by pair.
+    row, col = big[i], small[i]
+    row += (_glex_rank(lower) * comb(n_vars, p + 1))[:, None]
+    col += (group[source] * comb(n_vars, p))[:, None]
+    return (row.ravel(), col.ravel(), np.repeat(source, small.shape[1]),
+            _times(scaled[:, None], sign[i]).ravel())
 
 
 def _wedge_labels(n: int, a: int, b: int, p: int):

@@ -103,9 +103,12 @@ MAX_PRIMES = 64
 # bounds refuses arguments whose closed forms would run for minutes: sizes
 # in bits, estimated with logarithms before any large integer is formed.
 # odd-product makes O(n) operations on integers the size of (2n+1)!, and
-# perm-gap a few on C(n, n//2)^2 and (r·(n//2))^delta1.
+# perm-gap a few on C(n, n//2)^2 and (r·(n//2))^delta1.  powersum's limit is
+# on the bits of all its (a, b) pairs and inclusion-exclusion terms together
+# (``_powersum_bits``), about a second of work.
 ODD_PRODUCT_MAX_BITS = 2**15
 PERM_GAP_MAX_BITS = 2**20
+POWERSUM_MAX_BITS = 2**29
 
 
 @dataclass
@@ -402,7 +405,8 @@ def run_scan(P: Poly, seed: int, opts: RankOptions) -> dict:
 
 
 def _infer_n_vars(text: str) -> int:
-    indices = [int(m) for m in re.findall(r"x(\d+)", text)]
+    # ASCII digits, as parse_poly reads them (\d also matches other scripts).
+    indices = [int(m) for m in re.findall(r"x([0-9]+)", text)]
     if not indices:
         raise ValueError("no variables found; give --n-vars explicitly")
     return max(indices)
@@ -479,9 +483,23 @@ def _log2_binomial(n: int, k: int) -> float:
     return (math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)) / math.log(2)
 
 
+def _powersum_bits(r: int, delta1: int, delta2: int, k: int) -> int:
+    """About the bits ``psp_rank_bounds`` computes with, for valid arguments:
+    a machine word per (a, b) pair, and per inclusion-exclusion term a word
+    and its largest binomial, C(n, j) taken as n^j."""
+    a_values = k // delta2 + 1
+    width = min(delta1, r)  # the most positive residues a class can have
+    pairs = a_values * (delta1 + 1)
+    terms = a_values * (width + 1) * (width + 2) // 2
+    largest = max(width * max(r, k).bit_length(),
+                  min(k // delta2, r) * (k // delta2 + r).bit_length(),
+                  width * (delta1 + r).bit_length())
+    return 64 * (pairs + terms) + terms * largest
+
+
 def _check_bits(family: str, bits: float, limit: int) -> None:
     if bits > limit:
-        raise ValueError(f"{family} would compute with integers of about {bits:.0f} bits, "
+        raise ValueError(f"{family} would compute with integers of about {round(bits)} bits, "
                          f"over its limit of {limit}; choose smaller arguments")
 
 
@@ -507,6 +525,9 @@ def run_bounds(args, seed: int, opts: RankOptions) -> dict:
         for name in ("r", "delta1", "delta2", "k"):
             if getattr(args, name) is None:
                 raise ValueError(f"powersum needs --{name}")
+        if min(args.r, args.delta1, args.delta2) >= 1 and 1 <= args.k < args.delta1 * args.delta2:
+            _check_bits("powersum", _powersum_bits(args.r, args.delta1, args.delta2, args.k),
+                        POWERSUM_MAX_BITS)
         report = psp_rank_bounds(args.r, args.delta1, args.delta2, args.k)
         out = {
             "family": "powersum",
@@ -522,6 +543,8 @@ def run_bounds(args, seed: int, opts: RankOptions) -> dict:
         if n_cols <= opts.budget_cols:
             P = gen_power_sum_power(args.r, args.delta1, args.delta2)
             out["rank"] = _policy_rank(catalecticant(P, args.k), opts, seed).rank
+        else:
+            out["n_cols"], out["skipped"] = n_cols, "over column budget"
         return out
     if args.family == "perm-gap":
         for name in ("n", "delta1", "r"):

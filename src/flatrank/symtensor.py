@@ -165,9 +165,10 @@ def parse_poly(text: str, n_vars: int) -> Poly:
 
     Grammar: terms joined by '+'/'-'; a term is an optional integer or
     fraction coefficient followed by '*' and one or more variable factors
-    ``xI`` or ``xI^E``, or a bare coefficient (a degree-0 term).  Whitespace
-    is insignificant; variables are 1-indexed.  Inhomogeneous input is
-    rejected.
+    ``xI`` or ``xI^E``, or a bare coefficient (a degree-0 term).  Numbers
+    are ASCII digits ``0``-``9`` (``str.isdigit`` and ``int`` also take other
+    scripts' digits and superscripts).  Whitespace is insignificant;
+    variables are 1-indexed.  Inhomogeneous input is rejected.
     """
     if n_vars < 1:
         raise ValueError("need at least one variable")
@@ -182,7 +183,7 @@ def parse_poly(text: str, n_vars: int) -> Poly:
     def read_int(what: str) -> int:
         nonlocal pos
         start = pos
-        while pos < length and text[pos].isdigit():
+        while pos < length and "0" <= text[pos] <= "9":
             pos += 1
         if pos == start:
             raise ParseError(f"expected {what}", start)
@@ -198,7 +199,7 @@ def parse_poly(text: str, n_vars: int) -> Poly:
             pos += 1
             skip()
         coeff = Fraction(sign)
-        if pos < length and text[pos].isdigit():
+        if pos < length and "0" <= text[pos] <= "9":
             num = read_int("a coefficient")
             if pos < length and text[pos] == "/":
                 pos += 1
@@ -536,13 +537,14 @@ def shifted_partials(P: Poly, k: int, ell: int) -> SparseMatrix:
         raise ValueError("shift degree must be at least 1")
     shape = _int64_shape(n_rows, n_cols)
     shifts = monomial_basis(n, ell)
+    width = len(shifts)
     term, alpha, m, factor = _derivative_pattern(P, k)
-    pick = np.repeat(np.arange(term.size), len(shifts))
-    shift = np.tile(np.arange(len(shifts)), term.size)
-    moved = m[pick] + np.array(shifts, dtype=np.int64)[shift]
+    # (entry, shift) grids, raveled entry by entry.
+    moved = (m[:, None] + np.array(shifts, dtype=np.int64)).reshape(-1, n)
+    col = _glex_rank(alpha)[:, None] * width + np.arange(width)
     return _from_pattern(
-        list(P.terms.values()), _glex_rank(moved),
-        _glex_rank(alpha)[pick] * len(shifts) + shift, term[pick], factor[pick], shape,
+        list(P.terms.values()), _glex_rank(moved), col.ravel(), np.repeat(term, width),
+        np.repeat(factor, width), shape,
         lambda: (monomial_basis(n, d - k + ell),
                  itertools.product(monomial_basis(n, k), shifts)),
     )

@@ -26,6 +26,7 @@ from flatrank.exactla import (
 )
 from flatrank import symtensor
 from flatrank.koszul import (
+    _exterior_pattern,
     _koszul_shape,
     exterior_derivative,
     koszul_flattening,
@@ -35,6 +36,7 @@ from flatrank.koszul import (
 from flatrank.labcli import main
 from flatrank.symtensor import (
     Poly,
+    _derivative_pattern,
     _flattening_shape,
     _from_pattern,
     _glex_rank,
@@ -329,6 +331,36 @@ def test_permanent_catalecticant_memory_follows_the_pattern():
         tracemalloc.stop()
     assert (m.n_rows, m.n_cols, m.nnz) == (8436, 8436, 14400)
     assert peak < 24 * 2**20
+
+
+def _traced_peak(build):
+    """build() and the tracemalloc peak, in bytes, while it ran."""
+    tracemalloc.start()
+    try:
+        return build(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_exterior_pattern_memory_follows_the_pattern():
+    # The 315 x 1120 cell (k = p = 3) of a dense sextic in six variables has
+    # 70,560 nonzeros, so each of the four returned arrays takes 0.56 MB; the
+    # bound leaves room for two more such temporaries, not for index arrays
+    # that spell out the expansion (5.65 MB with them).
+    _, alpha, m, factor = _derivative_pattern(gen_random(6, 6, 1, 2**31 - 1), 3)
+    group = _glex_rank(alpha)
+    (row, *_), peak = _traced_peak(lambda: _exterior_pattern(group, m, factor, 6, 3))
+    assert row.size == 70560
+    assert peak < 4 * 10**6
+
+
+def test_shifted_partials_memory_follows_the_pattern():
+    # A dense sextic in five variables at k = 2, ell = 1: 5,250 nonzeros.
+    # Index arrays over the (entry, shift) grid took the peak to 0.82 MB.
+    P = gen_random(5, 6, 1, 2**31 - 1)
+    matrix, peak = _traced_peak(lambda: shifted_partials(P, 2, 1))
+    assert (matrix.n_rows, matrix.n_cols, matrix.nnz) == (126, 75, 5250)
+    assert peak < 750_000
 
 
 @pytest.mark.parametrize("n", range(1, 6))

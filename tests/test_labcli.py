@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 from unittest import mock
 
@@ -478,6 +479,7 @@ def test_bounds_perm_gap_refuses_n_below_two_with_exit_2(capsys, n, r):
     ["--family", "odd-product", "--n", "5000"],
     ["--family", "perm-gap", "--n", "100000", "--delta1", "100000", "--r", "100000"],
     ["--family", "perm-gap", "--n", "2000000", "--delta1", "1", "--r", "2000000"],
+    ["--family", "powersum", "--r", "100000", "--delta1", "2000", "--delta2", "2", "--k", "2000"],
 ])
 def test_bounds_refuses_arguments_whose_closed_forms_would_hang(capsys, argv):
     # Each of these ran for 20 s or more before its size was checked.
@@ -498,6 +500,20 @@ def test_bounds_powersum_names_a_parameter_below_one(capsys, r, delta1, delta2, 
     code, out, err = run_cli(capsys, "bounds", "--family", "powersum", "--r", r,
                              "--delta1", delta1, "--delta2", delta2, "--k", "1")
     assert (code, out, err) == (2, "", f"flatrank: error: {message}\n")
+
+
+@pytest.mark.parametrize("r, delta1, delta2, k", [
+    (200, 2, 2, 2),  # 20,100 columns
+    # Under the powersum limit: the closed forms take a fraction of a second.
+    (1000, 60, 60, 1800),
+])
+def test_bounds_powersum_says_why_rank_is_missing(capsys, r, delta1, delta2, k):
+    code, out, err = run_cli(capsys, "bounds", "--family", "powersum", "--r", str(r),
+                             "--delta1", str(delta1), "--delta2", str(delta2), "--k", str(k))
+    assert (code, err) == (0, "")
+    assert "rank:" not in out
+    n_cols = comb(r + k - 1, k)
+    assert out.endswith(f"n_cols: {n_cols}\nskipped: over column budget\n")
 
 
 def test_bounds_powersum_reports_the_coarse_pair(capsys):
@@ -531,6 +547,16 @@ def test_poly_file_input(capsys, tmp_path):
     )
     assert code == 0
     assert "rank: 4" in out
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["x1^²"], "expected an exponent (at position 3)"),
+    (["x1 + x١"], "expected a variable index (at position 6)"),
+    (["x١", "--n-vars", "2"], "expected a variable index (at position 1)"),
+])
+def test_cli_reads_ascii_digits_only(capsys, argv, message):
+    code, out, err = run_cli(capsys, "flatten", *argv, "--kind", "cat", "--k", "1")
+    assert (code, out, err) == (2, "", f"flatrank: error: {message}\n")
 
 
 def test_parse_poly_inference_matches_cli():

@@ -83,6 +83,19 @@ def test_parse_error_positions():
     assert "x5" in str(err.value)
 
 
+@pytest.mark.parametrize("text, message, position", [
+    ("x1^²", "expected an exponent", 3),
+    ("x١", "expected a variable index", 1),
+    ("٣*x1", "expected a variable factor like 'x1'", 0),
+])
+def test_parse_reads_ascii_digits_only(text, message, position):
+    # str.isdigit() accepts '²' and '١', and int() reads '١' as 1.
+    with pytest.raises(ParseError) as err:
+        parse_poly(text, 2)
+    assert (str(err.value), err.value.position) == (f"{message} (at position {position})",
+                                                    position)
+
+
 def test_parse_cancellation_keeps_degree():
     p = parse_poly("x1*x2 - x1*x2", 2)
     assert p.is_zero()
