@@ -17,9 +17,10 @@ its rank counted as often as it occurs.  A matrix made with its split known
 it can.  A component with one row or one column has rank 1.  Any other is
 ranked modulo one word-sized prime drawn from a fixed seed, a lower bound on
 its rank.  The rank is exact when that bound reaches the component's smaller
-side, or when a kernel basis read off the F_q echelon form, lifted to the
-rationals by rational reconstruction, annihilates the numerators exactly: an
-upper bound that meets it.  A component neither certifies goes to
+side, or when a kernel basis read off the F_q echelon form of a square block
+of its rows, or of all of them when that fails, lifted to the rationals by
+rational reconstruction, annihilates the numerators exactly: an upper bound
+that meets it.  A component neither certifies goes to
 fraction-free elimination of its numerators (cross-multiplied updates with
 per-row content reduction), also the oracle the tests hold the certificates to.
 
@@ -144,13 +145,24 @@ def _int64_shape(n_rows: int, n_cols: int) -> tuple[int, int]:
 
 
 def _rational(token: str) -> int | Fraction:
-    """The number a coordinate token spells: ``int(token)`` for an integer,
-    about 20 times faster than ``Fraction(token)``, which reads every other
-    token and raises ValueError or ZeroDivisionError for a malformed one."""
+    """The number a coordinate token from an ``_ascii_line`` spells, an
+    integer or a/b; ValueError or ZeroDivisionError for any other token
+    (``Fraction(token)`` would also read decimal points and exponents)."""
     try:
         return int(token)
     except ValueError:
-        return Fraction(token)
+        num, slash, den = token.partition("/")
+        if not (slash and den.isdigit()):
+            raise
+        return Fraction(int(num), int(den))
+
+
+def _ascii_line(line: str) -> str:
+    """line, or ValueError unless it is ASCII without underscores: int()
+    also reads those and other scripts' digits as decimals."""
+    if not line.isascii() or "_" in line:
+        raise ValueError(f"not ASCII decimals: {line!r}")
+    return line
 
 
 class SparseMatrix:
@@ -347,18 +359,16 @@ class SparseMatrix:
         if not lines or not lines[0].startswith("%%flatrank coordinate"):
             raise ValueError("missing coordinate header")
         try:
-            n_rows, n_cols, nnz = (int(tok) for tok in lines[1].split())
+            n_rows, n_cols, nnz = (int(tok) for tok in _ascii_line(lines[1]).split())
         except Exception as exc:
             raise ValueError("malformed size line") from exc
         if len(lines) - 2 != nnz:
             raise ValueError(f"expected {nnz} entries, found {len(lines) - 2}")
         entries = []
         for ln in lines[2:]:
-            toks = ln.split()
-            if len(toks) != 3:
-                raise ValueError(f"malformed entry line: {ln!r}")
             try:
-                entries.append((int(toks[0]) - 1, int(toks[1]) - 1, _rational(toks[2])))
+                i, j, value = _ascii_line(ln).split()
+                entries.append((int(i) - 1, int(j) - 1, _rational(value)))
             except (ValueError, ZeroDivisionError) as exc:
                 raise ValueError(f"malformed entry line: {ln!r}") from exc
         return cls(n_rows, n_cols, entries)
@@ -812,48 +822,67 @@ def _rational_reconstruction(x: int, q: int) -> Fraction | None:
     return Fraction(r1, t1)
 
 
-def _lifted_rank(m: SparseMatrix, q: int) -> int | None:
-    """Rank of m proven from the dense F_q echelon form of m or its
-    transpose, whichever is taller, or None when the proof does not close;
-    q must not divide ``_den``.
+def _annihilates(m: SparseMatrix, tall: bool, kernel: np.ndarray, q: int) -> bool:
+    """Whether each vector of the F_q ``kernel`` of m's tall orientation (m
+    when tall, its transpose otherwise) lifts: every entry rationally
+    reconstructed, the vector cleared of denominators, and its product with
+    the numerators of that orientation zero exactly."""
+    rows, cols = (m._rows, m._cols) if tall else (m._cols, m._rows)
+    values = m._values
+    # Group the entries by row of the orientation once; a tall m is row-major already.
+    if np.any(rows[1:] < rows[:-1]):
+        order = np.argsort(rows, kind="stable")
+        rows, cols, values = rows[order], cols[order], values[order]
+    starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    longest = int(np.diff(starts, append=rows.size).max(initial=0))
+    value_bits = max(int(values.max(initial=0)), -int(values.min(initial=0))).bit_length()
+    for vector in kernel:
+        at = np.flatnonzero(vector).tolist()
+        lifted = [_rational_reconstruction(int(vector[c]), q) for c in at]
+        if None in lifted:
+            return False
+        scale = lcm(*(v.denominator for v in lifted))
+        cleared = [v.numerator * (scale // v.denominator) for v in lifted]
+        # int64 when the bit lengths prove that every product and row sum fits.
+        fits = value_bits + max(map(abs, cleared)).bit_length() + longest.bit_length() < 63
+        coefficients = np.zeros(len(vector), dtype=np.int64 if fits else object)
+        coefficients[at] = cleared
+        products = (values if fits else values.astype(object)) * coefficients[cols]
+        if np.add.reduceat(products, starts).any():
+            return False
+    return True
 
-    The rank r mod q is a lower bound, and the shape closes it when r is the
-    smaller side.  Otherwise the kernel basis mod q, on the side with the
-    smaller nullity, has min side - r vectors, each 1 at its own free
-    coordinate and 0 at the others, so their lifts are independent over Q.
-    Each entry is rationally reconstructed, each vector cleared of
-    denominators, and its product with m's numerators checked to be zero
-    exactly: then the nullity is at least min side - r, so the rank is r.
+
+def _lifted_rank(m: SparseMatrix, q: int) -> int | None:
+    """Rank of m proven from a dense F_q echelon form of its tall orientation
+    (m or its transpose, whichever is taller), or None when the proof does
+    not close; q must not divide ``_den``.
+
+    With ``side`` the orientation's column count, the first ``side`` of its
+    rows are factored first, and all of it when their kernel does not lift.
+    A rank r mod q is a lower bound, and the shape closes it when r is
+    ``side``.  Otherwise the kernel basis mod q has side - r vectors, each 1
+    at its own free coordinate and 0 at the others, so their lifts are
+    independent over Q.  If every lift annihilates m exactly, the nullity is
+    at least side - r, so the rank is r.  A lift that annihilates m lies in
+    m's kernel mod q, so the block passes only when its kernel is m's: it
+    gives the rank, kernel and lift that factoring all of m gives.
     """
     tall = m.n_rows >= m.n_cols
-    a = _dense_mod(m, q)
-    kernel = _kernel_mod(a if tall else np.ascontiguousarray(a.T), q)
-    side = kernel.shape[1]
-    if not len(kernel):
-        return side
-    # m's entries grouped by the index a kernel vector multiplies; a vector
-    # is nonzero only at its free coordinate and the pivots, so the check
-    # reads only those groups.
-    index, other = (m._cols, m._rows) if tall else (m._rows, m._cols)
-    groups: list[list[tuple[int, int]]] = [[] for _ in range(side)]
-    for c, i, v in zip(index.tolist(), other.tolist(), m._values.tolist()):
-        groups[c].append((i, v))
-    for vector in kernel:
-        lifted = {}
-        for c in np.flatnonzero(vector).tolist():
-            value = _rational_reconstruction(int(vector[c]), q)
-            if value is None:
-                return None
-            lifted[c] = value
-        scale = lcm(*(v.denominator for v in lifted.values()))
-        residual: dict[int, int] = {}
-        for c, value in lifted.items():
-            k = int(value * scale)
-            for i, v in groups[c]:
-                residual[i] = residual.get(i, 0) + v * k
-        if any(residual.values()):
-            return None
-    return side - len(kernel)
+    side = min(m.n_rows, m.n_cols)
+    parts = [m]
+    if m.n_rows != m.n_cols:
+        keep = (m._rows if tall else m._cols) < side
+        parts.insert(0, SparseMatrix._wrap(side, side, m._rows[keep], m._cols[keep],
+                                           m._values[keep], den=m._den))
+    for part in parts:
+        a = _dense_mod(part, q)
+        kernel = _kernel_mod(a if tall else np.ascontiguousarray(a.T), q)
+        if not len(kernel):
+            return side
+        if _annihilates(m, tall, kernel, q):
+            return side - len(kernel)
+    return None
 
 
 def _component_rank(comp: SparseMatrix, q: int) -> int:

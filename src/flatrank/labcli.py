@@ -479,8 +479,16 @@ def _rank_report(head: dict, matrix: SparseMatrix, result: RankResult, **tail) -
     return out
 
 
-def _log2_binomial(n: int, k: int) -> float:
-    return (math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)) / math.log(2)
+def _log2_factorial(x: int) -> Fraction:
+    """log2(x!) for x >= 1 within 0.2 bit, by Stirling's x·log2(x/e) +
+    log2(2πx)/2, as an exact rational: math.log2 reads an int of any size,
+    where a float of x would overflow past 2^1024."""
+    log2_x = math.log2(x)
+    return x * Fraction(log2_x - math.log2(math.e)) + Fraction(log2_x + math.log2(2 * math.pi)) / 2
+
+
+def _log2_binomial(n: int, k: int) -> Fraction:
+    return _log2_factorial(n) - _log2_factorial(k) - _log2_factorial(n - k)
 
 
 def _powersum_bits(r: int, delta1: int, delta2: int, k: int) -> int:
@@ -497,7 +505,7 @@ def _powersum_bits(r: int, delta1: int, delta2: int, k: int) -> int:
     return 64 * (pairs + terms) + terms * largest
 
 
-def _check_bits(family: str, bits: float, limit: int) -> None:
+def _check_bits(family: str, bits: int | Fraction, limit: int) -> None:
     if bits > limit:
         raise ValueError(f"{family} would compute with integers of about {round(bits)} bits, "
                          f"over its limit of {limit}; choose smaller arguments")
@@ -509,7 +517,7 @@ def run_bounds(args, seed: int, opts: RankOptions) -> dict:
         if n is None or n < 1:
             raise ValueError("odd-product needs --n >= 1")
         d = 2 * n + 1
-        _check_bits("odd-product", math.lgamma(d + 1) / math.log(2), ODD_PRODUCT_MAX_BITS)
+        _check_bits("odd-product", _log2_factorial(d), ODD_PRODUCT_MAX_BITS)
         bound = chowsrank_bound(n)
         ratio = Fraction(S_formula(n, d, n), binomial(d - 1, n))
         return {
@@ -553,7 +561,7 @@ def run_bounds(args, seed: int, opts: RankOptions) -> dict:
         half = args.n // 2
         if args.n >= 2 and args.r >= 1:
             _check_bits("perm-gap", 2 * _log2_binomial(args.n, half)
-                        + args.delta1 * math.log2(args.r * half), PERM_GAP_MAX_BITS)
+                        + args.delta1 * Fraction(math.log2(args.r * half)), PERM_GAP_MAX_BITS)
         ratio, log_ratio = permcom_gap(args.n, args.r, args.delta1)
         return {
             "family": "perm-gap",

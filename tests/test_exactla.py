@@ -5,6 +5,7 @@ import tracemalloc
 from collections import Counter, defaultdict
 from decimal import Decimal
 from fractions import Fraction
+from math import lcm
 from unittest import mock
 
 import numpy as np
@@ -43,6 +44,7 @@ from flatrank.koszul import _full_koszul, koszul_flattening
 from flatrank.labcli import _case_seed
 from flatrank.symtensor import (
     catalecticant,
+    gen_kyfl11_witness,
     gen_power_sum_power,
     gen_product,
     gen_random,
@@ -367,6 +369,118 @@ def test_rank_exact_lift_closes_on_random_kyfl11_matrices(n, d):
             mock.patch.object(exactla, "_lifted_rank", wraps=exactla._lifted_rank) as lift:
         assert rank_exact(m).rank == n * n - 1
     assert lift.call_count >= 1
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_rank_exact_lifts_the_kyfl11_cell_from_its_square_block(seed):
+    # One 1764 x 49 component of rank 48: its first 49 rows already have the
+    # whole kernel, so only that block is factored.
+    m = koszul_flattening(gen_random(7, 5, seed, 1000), 1, 1)
+    assert [(c.n_rows, c.n_cols) for c, _ in _components(m)] == [(1764, 49)]
+    with mock.patch.object(exactla, "_sparse_integer_rank", side_effect=AssertionError), \
+            mock.patch.object(exactla, "_kernel_mod", wraps=_kernel_mod) as kernel:
+        assert rank_exact(m).rank == 48
+    assert [call.args[0].shape for call in kernel.call_args_list] == [(49, 49)]
+
+
+def test_rank_exact_factors_the_whole_component_when_its_block_kernel_is_larger():
+    # The (6, 4) witness has a 60 x 31 component whose first 31 rows leave
+    # nullity 21 mod q against the whole's 1: the block's lift fails, and
+    # the whole component is factored and lifted.
+    m = koszul_flattening(gen_kyfl11_witness(6, 4), 1, 1)
+    [comp] = [c for c, _ in _components(m) if (c.n_rows, c.n_cols) == (60, 31)]
+    factored = []
+
+    def kernel(a, q):
+        shape, basis = a.shape, _kernel_mod(a, q)
+        factored.append((shape, len(basis)))
+        return basis
+    with mock.patch.object(exactla, "_kernel_mod", side_effect=kernel):
+        assert exactla._lifted_rank(comp, CERTIFICATE_PRIME) == fraction_free_rank(comp) == 30
+    assert factored == [((31, 31), 21), ((60, 31), 1)]
+
+
+def whole_lifted_rank(m, q):
+    """The lifted-kernel certificate on all of m's tall orientation, each
+    lift checked entry by entry: the reference that the square block and
+    its array check must equal."""
+    tall = m.n_rows >= m.n_cols
+    a = _dense_mod(m, q)
+    kernel = _kernel_mod(a if tall else np.ascontiguousarray(a.T), q)
+    side = kernel.shape[1]
+    if not len(kernel):
+        return side
+    index, other = (m._cols, m._rows) if tall else (m._rows, m._cols)
+    groups = [[] for _ in range(side)]
+    for c, i, v in zip(index.tolist(), other.tolist(), m._values.tolist()):
+        groups[c].append((i, v))
+    for vector in kernel:
+        lifted = {}
+        for c in np.flatnonzero(vector).tolist():
+            value = exactla._rational_reconstruction(int(vector[c]), q)
+            if value is None:
+                return None
+            lifted[c] = value
+        scale = lcm(*(v.denominator for v in lifted.values()))
+        residual = {}
+        for c, value in lifted.items():
+            k = int(value * scale)
+            for i, v in groups[c]:
+                residual[i] = residual.get(i, 0) + v * k
+        if any(residual.values()):
+            return None
+    return side - len(kernel)
+
+
+@st.composite
+def planted_rank(draw):
+    """A tall or wide product of small random integer factors, of a drawn
+    rank: its leading rows (tall orientation) of a drawn lower rank or its
+    rows shuffled, one row times 2^64 and all of it over 3 when drawn."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    big, small = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    big, small = max(big, small), min(big, small)
+    rank = draw(st.integers(0, small))
+    lead = draw(st.integers(0, rank))
+    b = [[rng.randint(-4, 4) if t < lead or i >= small else 0 for t in range(rank)]
+         for i in range(big)]
+    if draw(st.booleans()):
+        rng.shuffle(b)
+    c = [[rng.randint(-4, 4) for _ in range(small)] for _ in range(rank)]
+    rows = [[sum(x * y for x, y in zip(row, col)) for col in zip(*c)] for row in b]
+    if draw(st.booleans()):
+        i = rng.randrange(big)
+        rows[i] = [v * 2**64 for v in rows[i]]
+    scale = draw(st.sampled_from([1, Fraction(1, 3)]))
+    rows = [[v * scale for v in row] for row in rows]
+    return from_dense([list(col) for col in zip(*rows)] if draw(st.booleans()) else rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(planted_rank(), st.sampled_from([5, 101, CERTIFICATE_PRIME]))
+def test_lifted_rank_equals_the_whole_orientation_certificate(m, q):
+    assert exactla._lifted_rank(m, q) == whole_lifted_rank(m, q)
+
+
+def test_lifted_rank_checks_in_python_ints_when_a_row_sum_could_overflow():
+    # The block's kernel lifts to (-1, 2), and the last row sends it to
+    # 2 + 2 * (2^63 - 1) = 2^64, which int64 would wrap to 0: the check must
+    # see it, fall back to the whole matrix and find full rank.
+    m = from_dense([[2, 1], [4, 2], [-2, 2**63 - 1]])
+    assert m._values.dtype == np.int64
+    assert exactla._lifted_rank(m, CERTIFICATE_PRIME) == fraction_free_rank(m) == 2
+
+
+def test_rank_exact_memory_on_the_kyfl11_cell_follows_its_block():
+    # Factoring all 1764 x 49 rows and checking entry by entry peaked at 4.16 MB.
+    m = koszul_flattening(gen_random(7, 5, 0, 1000), 1, 1)
+    tracemalloc.start()
+    try:
+        assert rank_exact(m).rank == 48
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5e6
 
 
 def test_rank_exact_lift_gives_up_on_large_generic_kernels():
@@ -1014,8 +1128,23 @@ def test_coordinate_text_round_trip():
     text = m.to_coordinate_text()
     again = SparseMatrix.from_coordinate_text(text)
     assert again == SparseMatrix(m.n_rows, m.n_cols, m.entries())
+    signed = SparseMatrix(3, 4, [(0, 0, -7), (0, 3, Fraction(-2, 3)), (1, 1, 2**70),
+                                 (2, 2, -(2**64) - 1), (2, 3, Fraction(5, 2**65))])
+    assert SparseMatrix.from_coordinate_text(signed.to_coordinate_text()) == signed
     with pytest.raises(ValueError):
         SparseMatrix.from_coordinate_text("not a matrix\n")
+
+
+@pytest.mark.parametrize("size, entry", [
+    ("1_0 2 1", "1 1 3"),  # an underscore, which int() reads as 10
+    ("2 2 1", "1_0 1 3"),
+    ("2 2 1", "\u0661 \u0662 3"),  # Arabic-Indic digits, which int() reads as (1, 2)
+    ("2 2 1", "1 1 1_000/3"),  # which Fraction() reads as 1000/3
+    ("2 2 1", "1 1 1.5"),
+])
+def test_coordinate_reader_takes_ascii_decimals_only(size, entry):
+    with pytest.raises(ValueError, match="malformed"):
+        SparseMatrix.from_coordinate_text(f"%%flatrank coordinate rational\n{size}\n{entry}\n")
 
 
 def test_random_prime_is_in_range():

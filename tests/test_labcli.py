@@ -192,6 +192,20 @@ def test_rank_file_input_errors_exit_2(capsys, tmp_path):
         assert code == 2 and "duplicate entry at (0, 0)" in err
 
 
+@pytest.mark.parametrize("size, entry", [
+    ("1_0 2 1", "1 1 3"),
+    ("2 2 1", "1_0 1 3"),
+    ("2 2 1", "\u0661 \u0662 3"),
+    ("2 2 1", "1 1 1_000/3"),
+])
+def test_rank_file_reads_ascii_decimals_only(capsys, tmp_path, size, entry):
+    path = tmp_path / "bad.txt"
+    path.write_text(f"%%flatrank coordinate rational\n{size}\n{entry}\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "rank", str(path))
+    assert (code, out) == (2, "")
+    assert "malformed" in err
+
+
 def test_flatten_refuses_zero_variables(capsys):
     # --n-vars 0 is refused like any count below 1, not read as "infer".
     for count in ("0", "-1"):
@@ -480,6 +494,9 @@ def test_bounds_perm_gap_refuses_n_below_two_with_exit_2(capsys, n, r):
     ["--family", "perm-gap", "--n", "100000", "--delta1", "100000", "--r", "100000"],
     ["--family", "perm-gap", "--n", "2000000", "--delta1", "1", "--r", "2000000"],
     ["--family", "powersum", "--r", "100000", "--delta1", "2000", "--delta2", "2", "--k", "2000"],
+    # Past float range: the estimates must not convert --n to a float.
+    ["--family", "odd-product", "--n", str(10**309)],
+    ["--family", "perm-gap", "--n", str(10**309), "--delta1", "1", "--r", "2"],
 ])
 def test_bounds_refuses_arguments_whose_closed_forms_would_hang(capsys, argv):
     # Each of these ran for 20 s or more before its size was checked.
