@@ -2,7 +2,9 @@
 deterministic rank computation.
 
 A matrix keeps its nonzeros as row-major coordinate arrays of integer
-numerators over one denominator ``_den``.  Its rank over the rationals, or
+numerators over one denominator ``_den``; one routine, ``_coordinates``,
+checks, orders and stores entries given in any order, whether a caller,
+a coordinate file or a builder gives them.  Its rank over the rationals, or
 mod any prime q not dividing ``_den``, is the rank of the numerators, so no
 engine splits a fraction.  Both engines split every matrix once, by array
 operations, into the connected components of its bipartite row/column graph,
@@ -51,7 +53,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import groupby
 from math import comb, gcd, isqrt, lcm
-from operator import itemgetter
+from operator import attrgetter, index, itemgetter
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -165,19 +167,81 @@ def _ascii_line(line: str) -> str:
     return line
 
 
+def _bits(values: np.ndarray) -> int:
+    """Bit length of the largest magnitude in the integer array values, 0 when empty."""
+    return max(int(values.max(initial=0)), -int(values.min(initial=0))).bit_length()
+
+
+def _stored(values: np.ndarray) -> np.ndarray:
+    """Integer numerators as a matrix stores them: int64 exactly when every
+    one fits, Python ints in an object array otherwise."""
+    if values.dtype == object and -2**63 <= values.min(initial=0) <= values.max(initial=0) < 2**63:
+        return values.astype(np.int64)
+    return values
+
+
+def _cleared(values: list) -> tuple[list[int], int]:
+    """The exact ``values`` as integer numerators over their least common
+    denominator, and that denominator."""
+    den = lcm(*set(map(attrgetter("denominator"), values)))
+    if den == 1:
+        return list(map(attrgetter("numerator"), values)), den
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _coordinates(n_rows: int, n_cols: int, rows, cols, values
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The stored arrays of the entries values[e] at (rows[e], cols[e]),
+    integer arrays or lists in any order, the values integer numerators:
+    row-major, int64 indices unless a side is 2^63 or more, zeros dropped,
+    values ``_stored``.  ValueError for a negative side, then a position
+    outside the shape, then one listed twice whatever its values, naming
+    the first offending entry in the order given."""
+    if n_rows < 0 or n_cols < 0:
+        raise ValueError("matrix dimensions must be non-negative")
+    rows, cols, values = (np.array(a, dtype=object) if isinstance(a, list) else a
+                          for a in (rows, cols, values))
+    if rows.size and not (0 <= rows.min() and rows.max() < n_rows
+                          and 0 <= cols.min() and cols.max() < n_cols):
+        e = np.flatnonzero((rows < 0) | (rows >= n_rows) | (cols < 0) | (cols >= n_cols))[0]
+        raise ValueError(f"entry ({rows[e]}, {cols[e]}) outside a {n_rows}x{n_cols} matrix")
+    dtype = np.int64 if max(n_rows, n_cols) < 2**63 else object
+    rows, cols = rows.astype(dtype, copy=False), cols.astype(dtype, copy=False)
+    if n_rows * n_cols < 2**63:
+        order = np.argsort(rows * n_cols + cols)
+    else:
+        order = np.lexsort((cols, rows))
+    r, c, v = rows[order], cols[order], values[order]
+    if _repeats(r, c).any():
+        # lexsort is stable: it lists the copies of a position in the order
+        # given, so the first offending entry is the earliest copy after a first.
+        order = np.lexsort((cols, rows))
+        e = order[1:][_repeats(rows[order], cols[order])].min()
+        raise ValueError(f"duplicate entry at ({rows[e]}, {cols[e]})")
+    kept = v != 0
+    if not kept.all():
+        r, c, v = r[kept], c[kept], v[kept]
+    return r, c, _stored(v)
+
+
+def _repeats(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Whether each position after the first equals the one before it."""
+    return (rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])
+
+
 class SparseMatrix:
     """Immutable sparse matrix with exact entries and optional basis labels.
 
     The nonzeros are stored as three coordinate arrays in row-major order:
     rows and columns (int64, or Python ints in an object array when a side
-    is 2^63 or more) and integer numerators (int64 where they fit, Python
-    ints in an object array otherwise) over one denominator ``_den``.  The
-    constructor takes rational numbers, refuses floats and other inexact
-    values, drops zeros and clears denominators once, ``_den`` their lcm.
-    It checks every entry it is given: a position inside the shape, listed
-    at most once whatever its value, and an exact value.  Matrices built
-    inside the package (builders, products, components) come finished
-    through ``_wrap`` and are not checked again.
+    is 2^63 or more) and integer numerators (``_stored``) over one
+    denominator ``_den``.  The constructor takes an integer shape and
+    indices (``operator.index``: a float raises TypeError) and exact values,
+    refuses floats, and clears denominators once, ``_den`` their lcm.  It
+    checks the values, then ``_coordinates`` the positions and repeats, as
+    for a coordinate file or a builder's pattern.  Products and weight
+    blocks come sorted and components slice sorted arrays: ``_wrap`` takes
+    them unchecked.
     Labels, when present, are opaque hashable objects, one per row/column,
     pairwise distinct.  A builder defers them: its labels are listed and
     checked the first time ``row_labels`` or ``col_labels`` is read.
@@ -196,29 +260,15 @@ class SparseMatrix:
         row_labels: Sequence | None = None,
         col_labels: Sequence | None = None,
     ):
-        if n_rows < 0 or n_cols < 0:
-            raise ValueError("matrix dimensions must be non-negative")
+        n_rows, n_cols = index(n_rows), index(n_cols)
+        entries = list(entries)
+        if not set(map(len, entries)) <= {3}:
+            raise ValueError("entries must be (row, column, value) triples")
+        rows, cols, values = (list(map(itemgetter(k), entries)) for k in range(3))
+        numerators, self._den = _cleared(list(map(_exact, values)))
+        self._rows, self._cols, self._values = _coordinates(
+            n_rows, n_cols, list(map(index, rows)), list(map(index, cols)), numerators)
         self.n_rows, self.n_cols, self._split = n_rows, n_cols, None
-        seen: set[tuple[int, int]] = set()
-        kept = []
-        for i, j, value in entries:
-            if not (0 <= i < n_rows and 0 <= j < n_cols):
-                raise ValueError(f"entry ({i}, {j}) outside a {n_rows}x{n_cols} matrix")
-            value = _exact(value)
-            if (i, j) in seen:
-                raise ValueError(f"duplicate entry at ({i}, {j})")
-            seen.add((i, j))
-            if value:
-                kept.append((i, j, value))
-        index = np.int64 if max(n_rows, n_cols) < 2**63 else object
-        rows, cols, values = zip(*sorted(kept)) if kept else ((), (), ())
-        self._rows, self._cols = np.array(rows, dtype=index), np.array(cols, dtype=index)
-        self._den = den = lcm(*(v.denominator for v in values))
-        numerators = [v.numerator * (den // v.denominator) for v in values]
-        try:
-            self._values = np.array(numerators, dtype=np.int64)
-        except OverflowError:
-            self._values = np.array(numerators, dtype=object)
         self._labels = self._checked(row_labels, col_labels)
 
     def _checked(self, row_labels, col_labels) -> tuple:
@@ -335,7 +385,11 @@ class SparseMatrix:
         left, right = left[order], right[order]
         rows, cols = self._rows[left], other._cols[right]
         runs = np.flatnonzero(np.diff(rows, prepend=-1) | np.diff(cols, prepend=-1))
-        terms = self._values[left].astype(object) * other._values[right].astype(object)
+        longest = int(np.diff(runs, append=rows.size).max(initial=0))
+        # int64 when the bit lengths prove that every product and sum fits.
+        fits = _bits(self._values) + _bits(other._values) + longest.bit_length() < 63
+        dtype = np.int64 if fits else object
+        terms = self._values[left].astype(dtype) * other._values[right].astype(dtype)
         sums = np.add.reduceat(terms, runs) if runs.size else terms
         kept = np.flatnonzero(sums)
         at = runs[kept]
@@ -343,7 +397,7 @@ class SparseMatrix:
         if den > 1:
             g = gcd(den, *values.tolist())
             values, den = values // g, den // g
-        return SparseMatrix._wrap(self.n_rows, other.n_cols, rows[at], cols[at], values,
+        return SparseMatrix._wrap(self.n_rows, other.n_cols, rows[at], cols[at], _stored(values),
                                   lambda: (self.row_labels, other.col_labels), den)
 
     def to_coordinate_text(self) -> str:
@@ -355,23 +409,27 @@ class SparseMatrix:
 
     @classmethod
     def from_coordinate_text(cls, text: str) -> "SparseMatrix":
-        lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
-        if not lines or not lines[0].startswith("%%flatrank coordinate"):
+        lines = (ln for ln in map(str.strip, text.splitlines()) if ln)
+        if not next(lines, "").startswith("%%flatrank coordinate"):
             raise ValueError("missing coordinate header")
         try:
-            n_rows, n_cols, nnz = (int(tok) for tok in _ascii_line(lines[1]).split())
+            n_rows, n_cols, nnz = (int(tok) for tok in _ascii_line(next(lines)).split())
         except Exception as exc:
             raise ValueError("malformed size line") from exc
-        if len(lines) - 2 != nnz:
-            raise ValueError(f"expected {nnz} entries, found {len(lines) - 2}")
-        entries = []
-        for ln in lines[2:]:
+        rows, cols, values = [], [], []
+        for ln in lines:
             try:
                 i, j, value = _ascii_line(ln).split()
-                entries.append((int(i) - 1, int(j) - 1, _rational(value)))
+                rows.append(int(i) - 1)
+                cols.append(int(j) - 1)
+                values.append(_rational(value))
             except (ValueError, ZeroDivisionError) as exc:
                 raise ValueError(f"malformed entry line: {ln!r}") from exc
-        return cls(n_rows, n_cols, entries)
+        if len(values) != nnz:
+            raise ValueError(f"expected {nnz} entries, found {len(values)}")
+        numerators, den = _cleared(values)
+        return cls._wrap(n_rows, n_cols, *_coordinates(n_rows, n_cols, rows, cols, numerators),
+                         den=den)
 
 
 @dataclass(frozen=True)
@@ -835,14 +893,13 @@ def _annihilates(m: SparseMatrix, tall: bool, kernel: np.ndarray, q: int) -> boo
         rows, cols, values = rows[order], cols[order], values[order]
     starts = np.flatnonzero(np.diff(rows, prepend=-1))
     longest = int(np.diff(starts, append=rows.size).max(initial=0))
-    value_bits = max(int(values.max(initial=0)), -int(values.min(initial=0))).bit_length()
+    value_bits = _bits(values)
     for vector in kernel:
         at = np.flatnonzero(vector).tolist()
         lifted = [_rational_reconstruction(int(vector[c]), q) for c in at]
         if None in lifted:
             return False
-        scale = lcm(*(v.denominator for v in lifted))
-        cleared = [v.numerator * (scale // v.denominator) for v in lifted]
+        cleared, _ = _cleared(lifted)
         # int64 when the bit lengths prove that every product and row sum fits.
         fits = value_bits + max(map(abs, cleared)).bit_length() + longest.bit_length() < 63
         coefficients = np.zeros(len(vector), dtype=np.int64 if fits else object)

@@ -27,7 +27,7 @@ from math import comb, perm
 
 import numpy as np
 
-from .exactla import SparseMatrix, _int64_shape
+from .exactla import SparseMatrix, _int64_shape, _stored
 from .symtensor import (
     Poly,
     _basis_size,
@@ -265,10 +265,6 @@ def weight_block(P: Poly, mu: tuple[int, ...], p: int) -> SparseMatrix | None:
             rows.append(r)
             cols.append(column[wider[:t] + wider[t + 1:]])
             values.append(-value if (t + bisect_left(forced, wider[t])) % 2 else value)
-    try:
-        values = np.array(values, dtype=np.int64)
-    except OverflowError:
-        values = np.array(values, dtype=object)
 
     def labels():
         def wedge(u):
@@ -278,7 +274,7 @@ def weight_block(P: Poly, mu: tuple[int, ...], p: int) -> SparseMatrix | None:
 
     return SparseMatrix._wrap(comb(len(free), j + 1), len(column),
                               np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64),
-                              values, labels, c.denominator)
+                              _stored(np.array(values, dtype=object)), labels, c.denominator)
 
 
 def monomial_blocks(P: Poly, k: int, p: int) -> list[tuple[SparseMatrix, int]]:

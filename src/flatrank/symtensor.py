@@ -22,12 +22,13 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from math import comb, factorial, lcm, perm
+from math import comb, factorial, perm
 from typing import Sequence
 
 import numpy as np
 
-from .exactla import SparseMatrix, _exact, _int64_shape, binomial
+from .exactla import (SparseMatrix, _bits, _cleared, _coordinates, _exact, _int64_shape,
+                      binomial)
 
 ExponentVector = tuple[int, ...]
 
@@ -394,15 +395,10 @@ def _glex_rank(exps: np.ndarray) -> np.ndarray:
     return rank
 
 
-def _bits(a: np.ndarray) -> int:
-    """Bit length of the largest magnitude in the nonempty integer array a."""
-    return int(np.abs(a).max()).bit_length()
-
-
 def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Entrywise product of two integer arrays: int64 when the bit lengths
     prove it fits, exact Python ints otherwise."""
-    if not a.size or _bits(a) + _bits(b) < 63:
+    if _bits(a) + _bits(b) < 63:
         return a.astype(np.int64, copy=False) * b.astype(np.int64, copy=False)
     return a.astype(object) * b.astype(object)
 
@@ -483,32 +479,20 @@ def _from_pattern(coeffs: Sequence, row, col, term, factor, shape, labels) -> Sp
     one entry per pattern position, labeled by ``labels()`` on first read.
     The coefficients are carried as integers over their common denominator,
     which the matrix keeps as its one denominator.  Every entry is a nonzero
-    coefficient times a nonzero factor; a position outside ``shape`` or
-    listed twice raises ValueError."""
-    n_rows, n_cols = shape
-    if row.size and not (0 <= row.min() and row.max() < n_rows
-                         and 0 <= col.min() and col.max() < n_cols):
-        raise ValueError(f"pattern position outside a {n_rows}x{n_cols} matrix")
-    if n_rows * n_cols < 2**63:
-        # Positions are distinct, or refused below, so no sort order is lost.
-        order = np.argsort(row * n_cols + col)
-    else:
-        order = np.lexsort((col, row))
-    row, col = row[order], col[order]
-    if ((row[1:] == row[:-1]) & (col[1:] == col[:-1])).any():
-        raise ValueError("pattern lists a position twice")
-    den = lcm(*(c.denominator for c in coeffs))
-    num = np.array([c.numerator * (den // c.denominator) for c in coeffs], dtype=object)
+    coefficient times a nonzero factor; ``_coordinates`` orders the
+    positions and refuses one outside ``shape`` or listed twice."""
+    numerators, den = _cleared(coeffs)
+    num = np.array(numerators, dtype=object)
     # The numerators gathered are those of the terms that occur: int64 holds
     # them, and each product, exactly when _times on the gathered pair says so.
     used = np.zeros(num.size, dtype=bool)
     used[term] = True
-    if term.size and _bits(num[used]) + _bits(factor) >= 63:
-        values = num[term[order]] * factor[order].astype(object)
+    if _bits(num[used]) + _bits(factor) >= 63:
+        values = num[term] * factor.astype(object)
     else:
-        values = np.where(used, num, 0).astype(np.int64)[term[order]]
-        values *= factor[order].astype(np.int64, copy=False)
-    return SparseMatrix._wrap(n_rows, n_cols, row, col, values, labels, den)
+        values = np.where(used, num, 0).astype(np.int64)[term]
+        values *= factor.astype(np.int64, copy=False)
+    return SparseMatrix._wrap(*shape, *_coordinates(*shape, row, col, values), labels, den)
 
 
 def catalecticant(P: Poly, k: int) -> SparseMatrix:

@@ -51,6 +51,7 @@ from flatrank.symtensor import (
     partial_derivative,
     shifted_partials,
 )
+from stored import assert_stored
 
 FORMS = {
     "product5": lambda: gen_product(5),
@@ -100,6 +101,26 @@ def _form_matrices(P: Poly):
 @pytest.mark.parametrize("name", sorted(FORMS))
 def test_builder_layouts_are_pinned(name):
     assert _digest(_form_matrices(FORMS[name]())) == FORM_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(FORMS))
+def test_builders_keep_the_storage_invariant(name):
+    for _, m in _form_matrices(FORMS[name]()):
+        for block, _ in m._split or ():  # a monomial's deferred weight blocks
+            assert_stored(block)
+        assert_stored(m)  # built in full when deferred
+
+
+@pytest.mark.parametrize("coeff", [Fraction(2, 3), 2**61, 2**64, -(2**70)])
+def test_monomial_blocks_keep_the_storage_invariant(coeff):
+    P = Poly.monomial((3, 2, 1, 1), coeff)
+    for k in range(1, 7):
+        for p in range(1, 4):
+            m = koszul_flattening(P, k, p)
+            assert m._split is not None
+            for block, _ in m._split:
+                assert_stored(block)
+            assert_stored(m)
 
 
 @pytest.mark.parametrize("name", ["fractional_cubic", "permanent3", "product5"])
@@ -508,7 +529,9 @@ def test_from_pattern_values_match_the_object_gather(pattern):
     m = _from_pattern(coeffs, row, col, term, factor, shape, None)
     order = np.lexsort((col, row))
     expected = gathered_values(coeffs, term, factor, order)
-    assert m._values.dtype == expected.dtype
+    # Stored int64 exactly when every value fits, whichever dtype the gather took.
+    fits = all(-2**63 <= v < 2**63 for v in expected.tolist())
+    assert m._values.dtype == (np.int64 if fits else object)
     assert m._values.tolist() == expected.tolist()
     assert m._rows.tolist() == row[order].tolist() and m._cols.tolist() == col[order].tolist()
     assert m._den == lcm(*(c.denominator for c in coeffs))

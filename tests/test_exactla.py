@@ -31,6 +31,7 @@ from flatrank.exactla import (
 from flatrank.exactla import (
     _components,
     _dense_mod,
+    _exact,
     _integer_rows,
     _kernel_mod,
     _markowitz_rank,
@@ -41,7 +42,7 @@ from flatrank.exactla import (
     _times_mod,
 )
 from flatrank.koszul import _full_koszul, koszul_flattening
-from flatrank.labcli import _case_seed
+from flatrank.labcli import _case_seed, main
 from flatrank.symtensor import (
     catalecticant,
     gen_kyfl11_witness,
@@ -50,6 +51,7 @@ from flatrank.symtensor import (
     gen_random,
     shifted_partials,
 )
+from stored import assert_stored
 
 # The prime rank_exact certifies with, drawn as it draws it.
 CERTIFICATE_PRIME = random_prime(random.Random(exactla.CERTIFICATE_SEED))
@@ -939,6 +941,160 @@ def test_sparse_matrix_validation():
     assert m.nnz == 1  # zeros are dropped
 
 
+def test_constructor_takes_integer_indices_and_shape_only():
+    for entries in ([(0.5, 0, 3), (0, 0, 4)], [(0, 1.0, 3)], [(Fraction(1), 0, 3)]):
+        with pytest.raises(TypeError):
+            SparseMatrix(2, 2, entries)
+    for shape in ((2.5, 2), (2, 2.0)):
+        with pytest.raises(TypeError):
+            SparseMatrix(*shape, [(0, 0, 1)])
+    m = SparseMatrix(np.int64(2), 2, [(np.int64(1), True, 3)])
+    assert (type(m.n_rows), m.entries()) == (int, [(1, 1, 3)])
+    with pytest.raises(ValueError):
+        SparseMatrix(2, 2, [(0, 0, 1), (1, 1)])  # not a triple
+
+
+@pytest.mark.parametrize("entries, error, message", [
+    # Values are checked first, then positions, then repeats.
+    ([(5, 5, 1), (0, 0, 0.5)], TypeError, "floats"),
+    ([(0, 0, 1), (0, 0, 2), (0, 7, 1), (-1, 0, 1)], ValueError, r"entry \(0, 7\) outside a 2x2"),
+    ([(1, 1, 1), (0, 0, 3), (0, 0, 4), (1, 1, 2)], ValueError, r"duplicate entry at \(0, 0\)"),
+    ([(1, 1, 1), (0, 0, 3), (1, 1, 0), (0, 0, 4)], ValueError, r"duplicate entry at \(1, 1\)"),
+])
+def test_constructor_names_the_first_fault_of_the_first_kind(entries, error, message):
+    with pytest.raises(error, match=message):
+        SparseMatrix(2, 2, entries)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.integers(-1, 5), st.integers(-1, 5), st.integers(-2, 2)),
+                min_size=1, max_size=30))
+def test_constructor_names_the_first_offending_entry_in_the_order_given(entries):
+    outside = [(i, j) for i, j, _ in entries if not (0 <= i < 5 and 0 <= j < 5)]
+    seen, repeated = set(), []
+    for i, j, _ in entries:
+        if (i, j) in seen:
+            repeated.append((i, j))
+        seen.add((i, j))
+    if outside:
+        expected = "entry (%d, %d) outside a 5x5 matrix" % outside[0]
+    elif repeated:
+        expected = "duplicate entry at (%d, %d)" % repeated[0]
+    else:
+        assert_stored(SparseMatrix(5, 5, entries))
+        return
+    with pytest.raises(ValueError) as raised:
+        SparseMatrix(5, 5, entries)
+    assert str(raised.value) == expected
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_constructor_names_the_first_repeat_in_a_long_shuffled_list(seed):
+    # Past a handful of entries numpy's default sort is not stable.
+    rng = random.Random(seed)
+    cells = rng.sample([(i, j) for i in range(60) for j in range(60)], 3000)
+    entries = [(i, j, 1) for i, j in cells]
+    entries.append(entries[5])  # the copy of an early entry comes last
+    entries.insert(2001, entries[2000])  # the first repeat
+    with pytest.raises(ValueError, match=r"duplicate entry at \(%d, %d\)" % cells[2000]):
+        SparseMatrix(60, 60, entries)
+
+
+def looped_arrays(n_rows, n_cols, entries):
+    """The arrays the constructor stored when it checked its valid entries
+    one by one: a seen-set, a sorted list of nonzero tuples, and int64
+    values unless the conversion overflowed."""
+    seen, kept = set(), []
+    for i, j, value in entries:
+        assert 0 <= i < n_rows and 0 <= j < n_cols and (i, j) not in seen
+        seen.add((i, j))
+        value = _exact(value)
+        if value:
+            kept.append((i, j, value))
+    index = np.int64 if max(n_rows, n_cols) < 2**63 else object
+    rows, cols, values = zip(*sorted(kept)) if kept else ((), (), ())
+    den = lcm(*(v.denominator for v in values))
+    numerators = [v.numerator * (den // v.denominator) for v in values]
+    try:
+        stored = np.array(numerators, dtype=np.int64)
+    except OverflowError:
+        stored = np.array(numerators, dtype=object)
+    return np.array(rows, dtype=index), np.array(cols, dtype=index), stored, den
+
+
+@st.composite
+def valid_entry_lists(draw):
+    """(n_rows, n_cols, entries): distinct positions in any order, a side
+    past 2^63 on demand, zeros, fractions and values past int64."""
+    n_rows, n_cols = (draw(st.integers(1, 5) | st.sampled_from([2**63, 2**64 + 3]))
+                      for _ in range(2))
+    index = st.integers(0, 4) | st.integers(2**63 - 2, 2**64 + 2)
+    cells = draw(st.lists(st.tuples(index.filter(lambda i: i < n_rows),
+                                    index.filter(lambda j: j < n_cols)),
+                          unique=True, max_size=8))
+    numerator = st.integers(-3, 3) | st.integers(-(2**70), 2**70) | st.sampled_from(
+        [2**63 - 1, -(2**63), 2**63])
+    value = numerator | st.builds(Fraction, numerator, st.integers(1, 12))
+    return n_rows, n_cols, [(i, j, draw(value)) for i, j in cells]
+
+
+@settings(max_examples=300, deadline=None)
+@given(valid_entry_lists())
+def test_constructor_stores_what_the_checking_loop_stored(case):
+    n_rows, n_cols, entries = case
+    m = SparseMatrix(n_rows, n_cols, entries)
+    rows, cols, values, den = looped_arrays(n_rows, n_cols, entries)
+    for got, want in ((m._rows, rows), (m._cols, cols), (m._values, values)):
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
+    assert m._den == den
+    assert_stored(m)
+    again = SparseMatrix.from_coordinate_text(m.to_coordinate_text())
+    assert again == m
+    assert_stored(again)
+
+
+def test_rank_file_reads_and_ranks_sides_past_int64(capsys, tmp_path):
+    # Rows 5, 2^63 and 2^64 - 1 of [[1, 2, 0], [2, 4, 0], [0, 0, 7]], listed
+    # out of order: rank 2.
+    big = 2**64
+    lines = [f"{big} 3 7", f"{2**63 + 1} 1 2", "6 2 2", f"{2**63 + 1} 2 4", "6 1 1"]
+    path = tmp_path / "tall.txt"
+    path.write_text(f"%%flatrank coordinate rational\n{big} 3 5\n" + "\n".join(lines) + "\n")
+    m = SparseMatrix.from_coordinate_text(path.read_text())
+    assert m._rows.tolist() == [5, 5, 2**63, 2**63, big - 1]
+    assert_stored(m)
+    for engine in ((), ("--exact",), ("--modular",)):
+        assert main(["rank", str(path), *engine]) == 0
+        assert "rank: 2" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("body, message", [
+    # Lines are read first, then their count, then shape, positions and repeats.
+    ("2 2 1\n1 1 3\n1 1 x\n", "malformed entry line"),
+    ("2 2 2\n1 1 3\n", "expected 2 entries, found 1"),
+    ("-1 2 0\n", "matrix dimensions must be non-negative"),
+    ("2 2 3\n1 1 3\n1 1 4\n3 1 1\n", r"entry \(2, 0\) outside a 2x2 matrix"),
+    ("2 2 3\n2 2 3\n1 1 0\n1 1 4\n", r"duplicate entry at \(0, 0\)"),
+])
+def test_coordinate_reader_names_the_first_fault(body, message):
+    with pytest.raises(ValueError, match=message):
+        SparseMatrix.from_coordinate_text("%%flatrank coordinate rational\n" + body)
+
+
+def test_multiply_stores_int64_exactly_when_the_product_fits():
+    small = SparseMatrix(2, 2, [(0, 0, 1), (1, 1, 2)])
+    assert small.multiply(small)._values.dtype == np.int64
+    # int64 factors whose sum passes 2^63 are summed as Python ints.
+    product = from_dense([[2**62, 2**62], [1, -1]]).multiply(from_dense([[2], [2]]))
+    assert product.entries() == [(0, 0, 2**64)] and product._values.dtype == object
+    # Four products of 2^61: each fits, their sum does not.
+    product = from_dense([[2**61] * 4]).multiply(from_dense([[1]] * 4))
+    assert product.entries() == [(0, 0, 2**63)] and product._values.dtype == object
+    # A sum back under 2^63 is stored int64.
+    product = from_dense([[2**62, -(2**62)]]).multiply(from_dense([[3], [2]]))
+    assert product.entries() == [(0, 0, 2**62)] and product._values.dtype == np.int64
+
+
 @pytest.mark.parametrize("m", [
     catalecticant(gen_random(3, 4, 7, 2**31 - 1), 2),
     _full_koszul(gen_product(4), 2, 1),
@@ -979,6 +1135,7 @@ def test_multiply_matches_dense_product(pair):
         [sum((row[k] * dense_b[k][j] for k in range(a.n_cols)), Fraction(0))
          for j in range(b.n_cols)] for row in dense_a]
     assert product == SparseMatrix(product.n_rows, product.n_cols, product.entries())
+    assert_stored(product)
 
 
 @pytest.mark.parametrize("m", [
