@@ -14,6 +14,10 @@ equal local row, column and value arrays are the same matrix, of the same
 rank over Q and mod every q.  Each distinct component is ranked once, and
 its rank counted as often as it occurs.  A matrix made with its split known
 (``SparseMatrix._deferred``) is not split again, and not built to be ranked.
+One routine, ``_products``, forms every entrywise product and run sum of
+integer arrays that a builder, ``multiply`` or a kernel check needs, and
+alone decides whether to work in int64, when the bit lengths prove it
+exact, or in Python ints.
 
 ``rank_exact`` returns the true rank over the rationals, by certificate where
 it can.  A component with one row or one column has rank 1.  Any other is
@@ -170,6 +174,21 @@ def _ascii_line(line: str) -> str:
 def _bits(values: np.ndarray) -> int:
     """Bit length of the largest magnitude in the integer array values, 0 when empty."""
     return max(int(values.max(initial=0)), -int(values.min(initial=0))).bit_length()
+
+
+def _products(x: np.ndarray, y: np.ndarray, starts: np.ndarray | None = None) -> np.ndarray:
+    """x * y of two integer arrays, y broadcast to x's shape, and when
+    ``starts`` is given the sums of the products over the runs of x that
+    begin there: in int64 when the bit lengths prove that every product and
+    sum fits, in exact Python ints otherwise.  x is the caller's scratch
+    array, multiplied in place when it is int64."""
+    longest = 1 if starts is None else int(np.diff(starts, append=len(x)).max(initial=1))
+    if _bits(x) + _bits(y) + (longest - 1).bit_length() < 63:
+        x = x.astype(np.int64, copy=False)
+        x *= y.astype(np.int64, copy=False)
+    else:
+        x = x.astype(object, copy=False) * y.astype(object, copy=False)
+    return x if starts is None else np.add.reduceat(x, starts)
 
 
 def _stored(values: np.ndarray) -> np.ndarray:
@@ -385,12 +404,7 @@ class SparseMatrix:
         left, right = left[order], right[order]
         rows, cols = self._rows[left], other._cols[right]
         runs = np.flatnonzero(np.diff(rows, prepend=-1) | np.diff(cols, prepend=-1))
-        longest = int(np.diff(runs, append=rows.size).max(initial=0))
-        # int64 when the bit lengths prove that every product and sum fits.
-        fits = _bits(self._values) + _bits(other._values) + longest.bit_length() < 63
-        dtype = np.int64 if fits else object
-        terms = self._values[left].astype(dtype) * other._values[right].astype(dtype)
-        sums = np.add.reduceat(terms, runs) if runs.size else terms
+        sums = _products(self._values[left], other._values[right], runs)
         kept = np.flatnonzero(sums)
         at = runs[kept]
         values, den = sums[kept], self._den * other._den
@@ -892,20 +906,15 @@ def _annihilates(m: SparseMatrix, tall: bool, kernel: np.ndarray, q: int) -> boo
         order = np.argsort(rows, kind="stable")
         rows, cols, values = rows[order], cols[order], values[order]
     starts = np.flatnonzero(np.diff(rows, prepend=-1))
-    longest = int(np.diff(starts, append=rows.size).max(initial=0))
-    value_bits = _bits(values)
     for vector in kernel:
         at = np.flatnonzero(vector).tolist()
         lifted = [_rational_reconstruction(int(vector[c]), q) for c in at]
         if None in lifted:
             return False
+        coefficients = np.zeros(len(vector), dtype=object)
         cleared, _ = _cleared(lifted)
-        # int64 when the bit lengths prove that every product and row sum fits.
-        fits = value_bits + max(map(abs, cleared)).bit_length() + longest.bit_length() < 63
-        coefficients = np.zeros(len(vector), dtype=np.int64 if fits else object)
         coefficients[at] = cleared
-        products = (values if fits else values.astype(object)) * coefficients[cols]
-        if np.add.reduceat(products, starts).any():
+        if _products(_stored(coefficients)[cols], values, starts).any():
             return False
     return True
 

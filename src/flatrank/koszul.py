@@ -27,7 +27,7 @@ from math import comb, perm
 
 import numpy as np
 
-from .exactla import SparseMatrix, _int64_shape, _stored
+from .exactla import SparseMatrix, _int64_shape, _products, _stored
 from .symtensor import (
     Poly,
     _basis_size,
@@ -35,7 +35,6 @@ from .symtensor import (
     _flattening_shape,
     _from_pattern,
     _glex_rank,
-    _times,
     monomial_basis,
     multinomial,
 )
@@ -80,7 +79,7 @@ def _exterior_pattern(group, m, factor, n_vars: int, p: int):
     group[s] * C(n, p) + index(w) and row index(m - e_i) * C(n, p+1) +
     index(w with i inserted); factor[s] scales source s."""
     source, i = np.nonzero(m)
-    scaled = _times(factor[source], m[source, i])
+    scaled = _products(factor[source], m[source, i])
     lower = m[source]
     lower[np.arange(source.size), i] -= 1
     small, big, sign = _insertions(n_vars, p)
@@ -89,7 +88,7 @@ def _exterior_pattern(group, m, factor, n_vars: int, p: int):
     row += (_glex_rank(lower) * comb(n_vars, p + 1))[:, None]
     col += (group[source] * comb(n_vars, p))[:, None]
     return (row.ravel(), col.ravel(), np.repeat(source, small.shape[1]),
-            _times(scaled[:, None], sign[i]).ravel())
+            _products(sign[i], scaled[:, None]).ravel())
 
 
 def _wedge_labels(n: int, a: int, b: int, p: int):
@@ -180,18 +179,13 @@ def koszul_flattening(P: Poly, k: int, p: int) -> SparseMatrix:
 
 
 @cache
-def _class_profiles(size: int, e: int, k: int) -> tuple[range, tuple[tuple, ...]]:
-    """The values a weight takes on a class of ``size`` variables of
-    exponent e at order k, descending, and for each profile of counts of
-    those values the (sum, f, support, counts) it adds to a weight."""
+def _class_profiles(size: int, e: int, k: int) -> tuple[tuple, ...]:
+    """For a class of ``size`` variables of exponent e at order k, each
+    non-increasing tuple of the values a weight takes on it, in
+    [max(e - k, 0), e + 1], with the (sum, f, support) it adds to a weight."""
     values = range(e + 1, max(e - k, 0) - 1, -1)
-    bars = size + len(values) - 1
-    profiles = []
-    for cuts in itertools.combinations(range(bars), len(values) - 1):
-        counts = tuple(y - x - 1 for x, y in zip((-1, *cuts), (*cuts, bars)))
-        profiles.append((sum(c * v for c, v in zip(counts, values)), counts[0],
-                         size - (counts[-1] if values[-1] == 0 else 0), counts))
-    return values, tuple(profiles)
+    return tuple((sum(mu), mu.count(e + 1), size - mu.count(0), mu)
+                 for mu in itertools.combinations_with_replacement(values, size))
 
 
 def _weight_orbits(a: tuple[int, ...], k: int, p: int):
@@ -199,7 +193,7 @@ def _weight_orbits(a: tuple[int, ...], k: int, p: int):
     Koszul block at (k, p) of x^a is nonzero, under the permutations inside
     each class of equal exponents, zeros included.  Along a class, mu is
     non-increasing; the orbit size is the product over classes of the
-    multinomials of the counts of each value.
+    multinomials of its runs of equal values.
 
     A weight takes the values a_l - alpha_l + [l in w] in [a_l - k, a_l + 1]
     and sums to d - k + p; its block is nonzero when its f values a_l + 1
@@ -208,32 +202,28 @@ def _weight_orbits(a: tuple[int, ...], k: int, p: int):
     for i, e in enumerate(a):
         classes.setdefault(e, []).append(i)
     target = sum(a) - k + p
-    profiles = [(index, *_class_profiles(len(index), e, k)) for e, index in classes.items()]
     # low[c] and high[c] bound the sum the classes from c on add; every sum
     # between them occurs, so a partial weight within them can be completed.
-    low = [0] * (len(profiles) + 1)
-    high = [0] * (len(profiles) + 1)
-    for c in range(len(profiles) - 1, -1, -1):
-        index, values, _ = profiles[c]
-        low[c] = low[c + 1] + len(index) * values[-1]
-        high[c] = high[c + 1] + len(index) * values[0]
+    low = [0] * (len(classes) + 1)
+    high = [0] * (len(classes) + 1)
+    for c, (e, index) in reversed(list(enumerate(classes.items()))):
+        low[c] = low[c + 1] + len(index) * max(e - k, 0)
+        high[c] = high[c + 1] + len(index) * (e + 1)
     states = [(0, 0, 0, ())]
-    for c, (_, _, options) in enumerate(profiles):
-        states = [(total + t, f + g, support + h, chosen + (counts,))
+    for c, (e, index) in enumerate(classes.items()):
+        states = [(total + t, f + g, support + h, chosen + (mu,))
                   for total, f, support, chosen in states
-                  for t, g, h, counts in options
+                  for t, g, h, mu in _class_profiles(len(index), e, k)
                   if f + g <= p and low[c + 1] <= target - total - t <= high[c + 1]]
     for _, f, support, chosen in states:
         if p >= support:
             continue
         mu = [0] * len(a)
         size = 1
-        for (index, values, _), counts in zip(profiles, chosen):
-            at = iter(index)
-            for value, count in zip(values, counts):
-                for _ in range(count):
-                    mu[next(at)] = value
-            size *= multinomial(counts)
+        for index, values in zip(classes.values(), chosen):
+            for l, value in zip(index, values):
+                mu[l] = value
+            size *= multinomial(tuple(len(list(run)) for _, run in itertools.groupby(values)))
         yield tuple(mu), size
 
 

@@ -13,8 +13,9 @@ product of falling factorials, for Koszul flattenings also m_i and a wedge
 sign), and no two terms meet in one entry.  A builder therefore compiles
 numpy integer arrays (row, col, term, factor) from P's support, ranks rows
 and columns arithmetically in graded-lex order, and gathers the values as
-c_term * factor over P's common denominator: in int64 where the bit lengths
-prove it exact, in Python ints beyond.
+c_term * factor over P's common denominator.  ``exactla._products`` alone
+decides whether such a product is formed in int64, where the bit lengths
+prove it exact, or in Python ints beyond.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .exactla import (SparseMatrix, _bits, _cleared, _coordinates, _exact, _int64_shape,
-                      binomial)
+from .exactla import (SparseMatrix, _cleared, _coordinates, _exact, _int64_shape, _products,
+                      _stored, binomial)
 
 ExponentVector = tuple[int, ...]
 
@@ -395,14 +396,6 @@ def _glex_rank(exps: np.ndarray) -> np.ndarray:
     return rank
 
 
-def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Entrywise product of two integer arrays: int64 when the bit lengths
-    prove it fits, exact Python ints otherwise."""
-    if _bits(a) + _bits(b) < 63:
-        return a.astype(np.int64, copy=False) * b.astype(np.int64, copy=False)
-    return a.astype(object) * b.astype(object)
-
-
 def _derivative_pattern(P: Poly, k: int):
     """Every term of every k-th partial derivative of P, as arrays
     (term, alpha, m, factor): the alpha-th derivative of the term-th term
@@ -482,16 +475,7 @@ def _from_pattern(coeffs: Sequence, row, col, term, factor, shape, labels) -> Sp
     coefficient times a nonzero factor; ``_coordinates`` orders the
     positions and refuses one outside ``shape`` or listed twice."""
     numerators, den = _cleared(coeffs)
-    num = np.array(numerators, dtype=object)
-    # The numerators gathered are those of the terms that occur: int64 holds
-    # them, and each product, exactly when _times on the gathered pair says so.
-    used = np.zeros(num.size, dtype=bool)
-    used[term] = True
-    if _bits(num[used]) + _bits(factor) >= 63:
-        values = num[term] * factor.astype(object)
-    else:
-        values = np.where(used, num, 0).astype(np.int64)[term]
-        values *= factor.astype(np.int64, copy=False)
+    values = _products(_stored(np.array(numerators, dtype=object))[term], factor)
     return SparseMatrix._wrap(*shape, *_coordinates(*shape, row, col, values), labels, den)
 
 

@@ -473,6 +473,64 @@ def test_lifted_rank_checks_in_python_ints_when_a_row_sum_could_overflow():
     assert exactla._lifted_rank(m, CERTIFICATE_PRIME) == fraction_free_rank(m) == 2
 
 
+def bit_length(values):
+    return max(map(abs, values), default=0).bit_length()
+
+
+def edge_integers(draw, size):
+    """size integers within 3 of 0, or of +-2^b for one drawn b: at the
+    edges of int64 products and sums."""
+    base = draw(st.sampled_from([0, 2**31, 2**62, 2**63, 2**64]))
+    near = st.builds(lambda sign, d: sign * base + d, st.sampled_from([1, -1]), st.integers(-3, 3))
+    return draw(st.lists(near, min_size=size, max_size=size))
+
+
+def run_case(x, y, lengths):
+    """(x, y, starts, expected, longest run) for x * y summed over
+    consecutive runs of the given lengths."""
+    products = [a * b for a, b in zip(x, y)]
+    starts = np.cumsum([0, *lengths])[:-1]
+    expected = [sum(products[s:s + n]) for s, n in zip(starts.tolist(), lengths)]
+    return (np.array(x, dtype=object), np.array(y, dtype=object), starts, expected,
+            max(lengths, default=1))
+
+
+@st.composite
+def product_cases(draw):
+    """A case in one of three shapes: entrywise, summed over runs (none, or
+    some of one entry), and (P, W) times (P, 1) as the exterior derivative
+    scales its wedge signs."""
+    kind = draw(st.sampled_from(["entrywise", "runs", "broadcast"]))
+    if kind == "broadcast":
+        p, w = draw(st.integers(0, 4)), draw(st.integers(1, 4))
+        x = np.array(edge_integers(draw, p * w), dtype=object).reshape(p, w)
+        y = np.array(edge_integers(draw, p), dtype=object)[:, None]
+        return x, y, None, (x * y).tolist(), 1
+    lengths = draw(st.lists(st.integers(1, 4), max_size=6))
+    x, y = edge_integers(draw, sum(lengths)), edge_integers(draw, sum(lengths))
+    if kind == "entrywise":
+        products = [a * b for a, b in zip(x, y)]
+        return np.array(x, dtype=object), np.array(y, dtype=object), None, products, 1
+    return run_case(x, y, lengths)
+
+
+@settings(max_examples=300, deadline=None)
+@given(product_cases())
+# 31 + 31 bits fit alone, and in one-entry runs, but not in a run of two;
+# 2^62 * 2 wraps in int64.
+@example(run_case([2**31 - 1] * 2, [1 - 2**31] * 2, [1, 1]))
+@example(run_case([2**31 - 1] * 2, [1 - 2**31] * 2, [2]))
+@example(run_case([2**62], [2], [1]))
+def test_products_are_exact_and_int64_when_the_bit_lengths_prove_it(case):
+    x, y, starts, expected, longest = case
+    fits = bit_length(x.ravel()) + bit_length(y.ravel()) + (longest - 1).bit_length() < 63
+    # Arrays come in as a matrix or a gather holds them: int64 when every value fits.
+    x, y = exactla._stored(x), exactla._stored(y)
+    result = exactla._products(x, y, starts)
+    assert result.tolist() == expected
+    assert (result.dtype == np.int64) == fits
+
+
 def test_rank_exact_memory_on_the_kyfl11_cell_follows_its_block():
     # Factoring all 1764 x 49 rows and checking entry by entry peaked at 4.16 MB.
     m = koszul_flattening(gen_random(7, 5, 0, 1000), 1, 1)

@@ -24,6 +24,7 @@ from flatrank.formulas import (
     veronese_point_rank,
 )
 from flatrank.koszul import koszul_flattening
+from flatrank.labcli import _trace_product
 from flatrank.symtensor import (
     Poly,
     catalecticant,
@@ -151,6 +152,13 @@ def test_generic_kyfl11_rank_and_kernel():
 
     trace = SparseMatrix(matrix.n_cols, 1, [((i * n) + i, 0, 1) for i in range(n)])
     assert matrix.multiply(trace).is_zero()
+    # verify kyfl11 finds the trace columns (e_i, (i,)) arithmetically: times
+    # the identity, its product lists them.
+    for n in range(2, 7):
+        labels = koszul_flattening(gen_random(n, 3, n, 100), 1, 1).col_labels
+        identity = SparseMatrix(len(labels), len(labels), [(j, j, 1) for j in range(len(labels))])
+        columns = [j for j, _, _ in _trace_product(identity, n).entries()]
+        assert columns == [j for j, (e, (i,)) in enumerate(labels) if e[i - 1]]
 
 
 def num_ab_enumeration_oracle(A, B, k, delta1, delta2, r):

@@ -9,7 +9,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flatrank.exactla import (
@@ -362,6 +362,16 @@ def monomial_cells(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(monomial_cells(), st.integers(0, 2**32))
+# Classes with long value ranges, which the drawn exponents 1..3 never give.
+@example((Poly.monomial((9, 9)), 4, 1), 0)
+@example((Poly.monomial((9, 9)), 9, 1), 0)
+@example((Poly.monomial((9, 9)), 16, 1), 0)
+@example((Poly.monomial((6, 6, 1)), 3, 1), 0)
+@example((Poly.monomial((6, 6, 1)), 6, 2), 0)
+@example((Poly.monomial((6, 6, 1)), 11, 2), 0)
+@example((Poly.monomial((5, 5, 5), Fraction(3, 2)), 4, 1), 0)
+@example((Poly.monomial((5, 5, 5), Fraction(3, 2)), 8, 2), 0)
+@example((Poly.monomial((5, 5, 5), Fraction(3, 2)), 13, 1), 0)
 def test_orbit_path_matches_the_full_build_on_random_monomials(cell, seed):
     P, k, p = cell
     full = rank_profile(_full_koszul(P, k, p), seed)
