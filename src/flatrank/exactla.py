@@ -3,16 +3,21 @@ deterministic rank computation.
 
 A matrix keeps its nonzeros as row-major coordinate arrays of integer
 numerators over one denominator ``_den``; one routine, ``_coordinates``,
-checks, orders and stores entries given in any order, whether a caller,
-a coordinate file or a builder gives them.  Its rank over the rationals, or
-mod any prime q not dividing ``_den``, is the rank of the numerators, so no
-engine splits a fraction.  Both engines split every matrix once, by array
-operations, into the connected components of its bipartite row/column graph,
-each compacted to int64 indices of the rows and columns it touches, whatever
-shape the matrix declares, and group equal components: two components with
-equal local row, column and value arrays are the same matrix, of the same
-rank over Q and mod every q.  Each distinct component is ranked once, and
-its rank counted as often as it occurs.  A matrix made with its split known
+checks, orders and stores entries given in any order, whether a caller, a
+coordinate file or a builder gives them.  It sorts one int64 key
+row·n_cols + col and reads the sorted rows and columns off the sorted key,
+so it gathers only the key and the values by the permutation.  Its rank
+over the rationals, or mod any prime q not dividing ``_den``, is the rank of
+the numerators, so no engine splits a fraction.  Both engines split every
+matrix once, by array operations, into the connected components of its
+bipartite row/column graph, each compacted to int64 indices of the rows and
+columns it touches, whatever shape the matrix declares, and group equal
+components: two components with equal local row, column and value arrays
+are the same matrix, of the same rank over Q and mod every q.  A matrix
+that is one component using every row and column, found by reachability
+over one flag per row and column, is its own split, with no array over its
+nonzeros.  Each distinct component is ranked once, and its rank counted as
+often as it occurs.  A matrix made with its split known
 (``SparseMatrix._deferred``) is not split again, and not built to be ranked.
 One routine, ``_products``, forms every entrywise product and run sum of
 integer arrays that a builder, ``multiply`` or a kernel check needs, and
@@ -41,11 +46,13 @@ the same Markowitz loop as the fraction-free engine, on its numerators mod q
 loop does the dense work: an in-place LU of one matrix.  A component at
 least two panels wide is ranked by a blocked right-looking LU of exact
 float64 products, reduced lazily, which stops at the first all-zero
-trailing block; the loop factors each of its panels and its narrow tail,
-every narrower component whole, and a component whose kernel basis is to
-be lifted.  A dense array thus holds at most 8 * nnz / DENSE_FILL bytes,
-never n_rows * n_cols words of the declared shape, and the fraction-free
-engine groups the nonzeros by row, so memory follows nnz throughout.
+trailing block and updates it BLOCK columns at a time, so its temporaries
+stay below the dense array; the loop factors each of its panels and its
+narrow tail, every narrower component whole, and a component whose kernel
+basis is to be lifted.  A dense array thus holds at most
+8 * nnz / DENSE_FILL bytes, never n_rows * n_cols words of the declared
+shape, and the fraction-free engine groups the nonzeros by row, so memory
+follows nnz throughout.
 """
 
 from __future__ import annotations
@@ -81,13 +88,21 @@ EXACT_COLUMN_LIMIT = 500
 # array never takes more than 8 * nnz / DENSE_FILL bytes.
 DENSE_FILL = 0.05
 
-# The dense F_q kernel eliminates PANEL columns at a time and updates CHUNK
-# rows at a time.  _times_mod is exact while (PANEL + 2)·PRIME_CEIL·2^16 < 2^53,
-# and _DRIFT of its values subtracted from an entry in [0, q) keep the entry,
-# and the x // q·q that reduces it, below 2^62 in magnitude.
+# The dense F_q kernel eliminates PANEL columns at a time and updates the
+# trailing block BLOCK columns and CHUNK rows at a time.  _times_mod is exact
+# while (PANEL + 2)·PRIME_CEIL·2^16 < 2^53, and _DRIFT of its values
+# subtracted from an entry in [0, q) keep the entry, and the x // q·q that
+# reduces it, below 2^62 in magnitude.  A BLOCK of 512 columns keeps the
+# update's temporaries under half the 90 x 2520 input of dense-generic's
+# widest cell; 4096 made 3.8 MB of them, twice the input.
 PANEL = 32
 CHUNK = 16
+BLOCK = 512
 _DRIFT = 2**62 // ((PANEL + 2) * PRIME_CEIL << 16)
+
+# _components tests whether a matrix is one component using every row and
+# column by reachability, in at most this many rounds.
+_REACH_ROUNDS = 16
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -215,7 +230,15 @@ def _coordinates(n_rows: int, n_cols: int, rows, cols, values
     row-major, int64 indices unless a side is 2^63 or more, zeros dropped,
     values ``_stored``.  ValueError for a negative side, then a position
     outside the shape, then one listed twice whatever its values, naming
-    the first offending entry in the order given."""
+    the first offending entry in the order given.
+
+    Below 2^63 cells the entries are ordered by one argsort of the int64
+    key row·n_cols + col, formed once the positions are bounds-checked, and
+    the sorted rows and columns are read off the sorted key.  Int64 arrays
+    ``rows`` and ``cols`` are the caller's scratch, like ``_products``' x:
+    the key is formed in rows' buffer and gathered in order into cols', and
+    int64 values are gathered into rows', so besides the caller's arrays the
+    sort holds one permutation and the result one array of columns."""
     if n_rows < 0 or n_cols < 0:
         raise ValueError("matrix dimensions must be non-negative")
     rows, cols, values = (np.array(a, dtype=object) if isinstance(a, list) else a
@@ -227,16 +250,26 @@ def _coordinates(n_rows: int, n_cols: int, rows, cols, values
     dtype = np.int64 if max(n_rows, n_cols) < 2**63 else object
     rows, cols = rows.astype(dtype, copy=False), cols.astype(dtype, copy=False)
     if n_rows * n_cols < 2**63:
-        order = np.argsort(rows * n_cols + cols)
+        key = rows
+        key *= n_cols
+        key += cols
+        order = key.argsort()
+        ordered = np.take(key, order, out=cols, mode="clip")
+        v = np.take(values, order, out=key if values.dtype == np.int64 else None, mode="clip")
+        if (ordered[1:] == ordered[:-1]).any():
+            given = np.empty_like(ordered)
+            given[order] = ordered
+            raise _duplicate(*np.divmod(given, n_cols))
+        del order
+        c = _mod(ordered, n_cols)
+        ordered -= c
+        ordered //= n_cols
+        r = ordered
     else:
         order = np.lexsort((cols, rows))
-    r, c, v = rows[order], cols[order], values[order]
-    if _repeats(r, c).any():
-        # lexsort is stable: it lists the copies of a position in the order
-        # given, so the first offending entry is the earliest copy after a first.
-        order = np.lexsort((cols, rows))
-        e = order[1:][_repeats(rows[order], cols[order])].min()
-        raise ValueError(f"duplicate entry at ({rows[e]}, {cols[e]})")
+        r, c, v = rows[order], cols[order], values[order]
+        if _repeats(r, c).any():
+            raise _duplicate(rows, cols)
     kept = v != 0
     if not kept.all():
         r, c, v = r[kept], c[kept], v[kept]
@@ -246,6 +279,16 @@ def _coordinates(n_rows: int, n_cols: int, rows, cols, values
 def _repeats(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Whether each position after the first equals the one before it."""
     return (rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])
+
+
+def _duplicate(rows: np.ndarray, cols: np.ndarray) -> ValueError:
+    """The error naming the first entry of (rows, cols), in the order given,
+    whose position an earlier entry holds."""
+    # lexsort is stable: it lists the copies of a position in the order
+    # given, so the first offending entry is the earliest copy after a first.
+    order = np.lexsort((cols, rows))
+    e = order[1:][_repeats(rows[order], cols[order])].min()
+    return ValueError(f"duplicate entry at ({rows[e]}, {cols[e]})")
 
 
 class SparseMatrix:
@@ -395,10 +438,21 @@ class SparseMatrix:
     def multiply(self, other: "SparseMatrix") -> "SparseMatrix":
         if self.n_cols != other.n_rows:
             raise ValueError("incompatible matrices for multiply")
-        # Pair each entry (i, k) of self with each (k, j) of other; sum by (i, j).
-        start = np.searchsorted(other._rows, self._cols)
-        count = np.searchsorted(other._rows, self._cols, side="right") - start
-        left = np.repeat(np.arange(self.nnz), count)
+        # Pair each entry (i, k) of self whose column k is a row of other with
+        # each (k, j) of other; sum by (i, j).  A flag per column of self
+        # finds those entries unless the columns outnumber the entries or
+        # the indices are Python ints.
+        if self._cols.dtype == object or self.n_cols > self.nnz:
+            meets = np.isin(self._cols, other._rows)
+        else:
+            flags = np.zeros(self.n_cols, dtype=bool)
+            flags[other._rows.astype(np.int64, copy=False)] = True
+            meets = flags[self._cols]
+        left = np.flatnonzero(meets)
+        inner = self._cols[left]
+        start = np.searchsorted(other._rows, inner)
+        count = np.searchsorted(other._rows, inner, side="right") - start
+        left = np.repeat(left, count)
         right = np.arange(left.size) + np.repeat(start - np.cumsum(count) + count, count)
         order = np.lexsort((other._cols[right], self._rows[left]))
         left, right = left[order], right[order]
@@ -479,13 +533,13 @@ def _integer_rows(m: SparseMatrix) -> list[dict[int, int]]:
     return [{j: v for _, j, v in row} for _, row in groupby(entries, itemgetter(0))]
 
 
-RowUpdate = Callable[[dict[int, int], dict[int, int], int], dict[int, int]]
+Pivot = Callable[[dict[int, int], int], Callable[[dict[int, int]], dict[int, int]]]
 
 
-def _markowitz_rank(rows: list[dict[int, int]], update: RowUpdate) -> int:
+def _markowitz_rank(rows: list[dict[int, int]], pivot: Pivot) -> int:
     """Rank of ``rows`` (column->nonzero dicts) by sparse elimination.
 
-    ``update(row, prow, c)`` returns ``row`` with column ``c`` eliminated
+    ``pivot(prow, c)`` returns the map that eliminates column ``c`` of a row
     against the pivot row ``prow``, nonzero entries only; it fixes the field.
     """
     live = {i: row for i, row in enumerate(rows) if row}
@@ -505,9 +559,10 @@ def _markowitz_rank(rows: list[dict[int, int]], update: RowUpdate) -> int:
             hits.discard(r_id)
             if not hits:
                 del cols[j]
+        update = pivot(prow, c)
         for i in list(cols.get(c, ())):
             row = live[i]
-            new = update(row, prow, c)
+            new = update(row)
             for j in row:
                 if j not in new:
                     hits = cols.get(j)
@@ -526,36 +581,45 @@ def _markowitz_rank(rows: list[dict[int, int]], update: RowUpdate) -> int:
     return rank
 
 
-def _exact_update(row: dict[int, int], prow: dict[int, int], c: int) -> dict[int, int]:
-    """Fraction-free update ``prow[c]*row - row[c]*prow``, divided by its content."""
+def _exact_update(prow: dict[int, int], c: int) -> Callable[[dict[int, int]], dict[int, int]]:
+    """The fraction-free update ``prow[c]*row - row[c]*prow`` of a row,
+    divided by its content."""
     pval = prow[c]
-    f = row[c]
-    new = {j: pval * v for j, v in row.items() if j not in prow}
-    for j, pv in prow.items():
-        nv = pval * row.get(j, 0) - f * pv
-        if nv:
-            new[j] = nv
-    g = 0
-    for v in new.values():
-        g = gcd(g, v)
-        if g == 1:
-            break
-    if g > 1:
-        new = {j: v // g for j, v in new.items()}
-    return new
 
-
-def _modular_update(q: int) -> RowUpdate:
-    """Row update over F_q: ``row - (row[c] / prow[c]) * prow mod q``."""
-    def update(row: dict[int, int], prow: dict[int, int], c: int) -> dict[int, int]:
-        f = row[c] * pow(prow[c], -1, q) % q
-        new = {j: v for j, v in row.items() if j not in prow}
+    def update(row: dict[int, int]) -> dict[int, int]:
+        f = row[c]
+        new = {j: pval * v for j, v in row.items() if j not in prow}
         for j, pv in prow.items():
-            nv = (row.get(j, 0) - f * pv) % q
+            nv = pval * row.get(j, 0) - f * pv
             if nv:
                 new[j] = nv
+        g = 0
+        for v in new.values():
+            g = gcd(g, v)
+            if g == 1:
+                break
+        if g > 1:
+            new = {j: v // g for j, v in new.items()}
         return new
     return update
+
+
+def _modular_update(q: int) -> Pivot:
+    """Row updates over F_q: ``row - (row[c] / prow[c]) * prow mod q``, the
+    inverse of the pivot taken once per pivot row."""
+    def pivot(prow: dict[int, int], c: int) -> Callable[[dict[int, int]], dict[int, int]]:
+        inverse = pow(prow[c], -1, q)
+
+        def update(row: dict[int, int]) -> dict[int, int]:
+            f = row[c] * inverse % q
+            new = {j: v for j, v in row.items() if j not in prow}
+            for j, pv in prow.items():
+                nv = (row.get(j, 0) - f * pv) % q
+                if nv:
+                    new[j] = nv
+            return new
+        return update
+    return pivot
 
 
 def _sparse_integer_rank(rows: list[dict[int, int]]) -> int:
@@ -571,14 +635,16 @@ def _mod(x: np.ndarray, q: int) -> np.ndarray:
     return r
 
 
-def _dense_mod(m: SparseMatrix, q: int) -> np.ndarray:
-    """m mod q as a dense int64 array: each numerator mod q, times the
-    inverse of ``_den`` mod q; ValueError when q divides ``_den``."""
-    a = np.zeros((m.n_rows, m.n_cols), dtype=np.int64)
+def _dense_mod(m: SparseMatrix, q: int, transpose: bool = False) -> np.ndarray:
+    """m mod q, or its transpose when ``transpose``, as a dense int64 array:
+    each numerator mod q, times the inverse of ``_den`` mod q; ValueError
+    when q divides ``_den``."""
+    rows, cols = (m._cols, m._rows) if transpose else (m._rows, m._cols)
+    a = np.zeros((m.n_cols, m.n_rows) if transpose else (m.n_rows, m.n_cols), dtype=np.int64)
     residues = _mod(m._values, q)
     if m._den != 1:
         residues = _mod(residues * pow(m._den, -1, q), q)
-    a[m._rows, m._cols] = residues
+    a[rows, cols] = residues
     return a
 
 
@@ -658,16 +724,18 @@ def _unit_lower_inverse(n: np.ndarray, q: int) -> np.ndarray:
 def _modular_rank_dense(a: np.ndarray, q: int) -> int:
     """Rank over F_q of the matrix a, entries in [0, q); overwrites a.
 
-    Blocked right-looking LU of a's wider orientation: while the trailing
-    block is at least two panels wide, its first PANEL columns are reduced
-    and ``_lu_mod`` factors them in place, its row swaps carrying the rest
-    of the block along.  With S = L11·U11 the k pivot rows on the pivot
-    columns and A21 = L21·U11 the rows below, A21·S^-1 = L21·L11^-1, so the
-    Schur complement A22 - L21·L11^-1·A12 needs no inverse of S.  A row is
-    reduced when it joins a panel or becomes a pivot row, and the whole
-    block every _DRIFT updates; after a panel without pivots, when the block
-    reduced is all zero, the rank found so far is final.  ``_lu_mod`` ranks
-    the last block, all of a when a is narrower than two panels."""
+    Blocked right-looking LU of a's wider orientation, which a taller a is
+    copied to: while the trailing block is at least two panels wide, its
+    first PANEL columns are reduced and ``_lu_mod`` factors them in place,
+    its row swaps carrying the rest of the block along.  With S = L11·U11
+    the k pivot rows on the pivot columns and A21 = L21·U11 the rows below,
+    A21·S^-1 = L21·L11^-1, so the Schur complement A22 - L21·L11^-1·A12
+    needs no inverse of S.  It is formed BLOCK columns at a time, so no
+    temporary spans the trailing width.  A row is reduced when it joins a
+    panel or becomes a pivot row, and the whole block every _DRIFT updates;
+    after a panel without pivots, when the block reduced is all zero, the
+    rank found so far is final.  ``_lu_mod`` ranks the last block, all of a
+    when a is narrower than two panels."""
     if a.shape[0] > a.shape[1]:
         a = np.ascontiguousarray(a.T)
     rank = c = updates = 0
@@ -678,20 +746,23 @@ def _modular_rank_dense(a: np.ndarray, q: int) -> int:
         pivots = _lu_mod(t, q, width=PANEL)
         k = len(pivots)
         rank += k
-        rest = t[:, PANEL:]
-        # count_nonzero reads the block without a boolean copy of it.
-        if not k and not np.count_nonzero(_mod(rest, q)):
+        blocks = [t[:, j:j + BLOCK] for j in range(PANEL, t.shape[1], BLOCK)]
+        # count_nonzero reads a block without a boolean copy of it.
+        if not k and not any(np.count_nonzero(_mod(block, q)) for block in blocks):
             return rank
         if 0 < k < len(t):
             lower = t[:, pivots]
             w = _mod(_times_mod(_unit_lower_inverse(np.tril(lower[:k], -1), q), q)(lower[k:]), q)
             updates += 1
             # Lazy: reducing after every update cost dense-generic 3 % wall_s, 1 MB peak RSS.
-            if updates > _DRIFT:
-                updates, rest[k:] = 1, _mod(rest[k:], q)
-            times = _times_mod(_mod(rest[:k], q), q)
-            for i in range(0, len(w), CHUNK):
-                rest[k + i:k + i + CHUNK] -= times(w[i:i + CHUNK])
+            drift = updates > _DRIFT
+            updates = 1 if drift else updates
+            for block in blocks:
+                if drift:
+                    block[k:] = _mod(block[k:], q)
+                times = _times_mod(_mod(block[:k], q), q)
+                for i in range(0, len(w), CHUNK):
+                    block[k + i:k + i + CHUNK] -= times(w[i:i + CHUNK])
     return rank + len(_lu_mod(_mod(a[rank:, c:], q), q))
 
 
@@ -750,6 +821,31 @@ def _runs(ordered: np.ndarray) -> Iterable[tuple[int, int]]:
     return zip([0, *cuts], [*cuts, ordered.size])
 
 
+def _spans_one_component(m: SparseMatrix) -> bool:
+    """Whether m's nonzeros use every row and column of m and connect them
+    all, found by reachability from row 0 over one boolean flag per row and
+    column: each round flags the columns of the entries in flagged rows,
+    then the rows of the entries in flagged columns.  Connected, the rows
+    and columns need nnz >= n_rows + n_cols - 1 entries, so no flag array
+    outgrows the entries.  A round that flags nothing new settles the
+    answer; a graph still growing after _REACH_ROUNDS rounds, a long path
+    say, is left to the label algorithm (False)."""
+    n = m.n_rows + m.n_cols
+    if m.nnz < n - 1:
+        return False
+    rows, cols = m._rows, m._cols
+    row_in, col_in = np.zeros(m.n_rows, dtype=bool), np.zeros(m.n_cols, dtype=bool)
+    row_in[0], reached = True, 1
+    for _ in range(_REACH_ROUNDS):
+        col_in[cols[row_in[rows]]] = True
+        row_in[rows[col_in[cols]]] = True
+        now = np.count_nonzero(row_in) + np.count_nonzero(col_in)
+        if now in (reached, n):
+            return now == n
+        reached = now
+    return False
+
+
 def _components(m: SparseMatrix) -> list[tuple[SparseMatrix, int]]:
     """The distinct connected components of the bipartite row/column graph
     of m's nonzeros, each compacted to the rows and columns it touches, with
@@ -768,6 +864,8 @@ def _components(m: SparseMatrix) -> list[tuple[SparseMatrix, int]]:
         return m._split
     if not m.nnz:
         return []
+    if _spans_one_component(m):
+        return [(m, 1)]
     # The rows are sorted: an entry's index among the rows in use counts the
     # changes of row before it.
     ri = np.zeros(m.nnz, dtype=np.int64)
@@ -837,17 +935,19 @@ def _modular_rank(components: Sequence[tuple[SparseMatrix, int]], q: int) -> int
     each distinct component ranked once, densely or sparsely (``_is_dense``).
     """
     total = 0
-    update = _modular_update(q)
+    pivot = _modular_update(q)
     for comp, count in components:
         if _is_dense(comp):
-            total += count * _modular_rank_dense(_dense_mod(comp, q), q)
+            # Made in the wider orientation, which the kernel eliminates.
+            total += count * _modular_rank_dense(
+                _dense_mod(comp, q, comp.n_rows > comp.n_cols), q)
             continue
         rows: dict[int, dict[int, int]] = {}
         residues = _mod(comp._values, q).tolist()
         for i, j, r in zip(comp._rows.tolist(), comp._cols.tolist(), residues):
             if r:
                 rows.setdefault(i, {})[j] = r
-        total += count * _markowitz_rank(list(rows.values()), update)
+        total += count * _markowitz_rank(list(rows.values()), pivot)
     return total
 
 
@@ -942,8 +1042,7 @@ def _lifted_rank(m: SparseMatrix, q: int) -> int | None:
         parts.insert(0, SparseMatrix._wrap(side, side, m._rows[keep], m._cols[keep],
                                            m._values[keep], den=m._den))
     for part in parts:
-        a = _dense_mod(part, q)
-        kernel = _kernel_mod(a if tall else np.ascontiguousarray(a.T), q)
+        kernel = _kernel_mod(_dense_mod(part, q, not tall), q)
         if not len(kernel):
             return side
         if _annihilates(m, tall, kernel, q):

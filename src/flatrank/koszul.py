@@ -11,7 +11,8 @@ x^m (x) w to the sum over the variables x_i of m with i not in w of
 sign * m_i * x^(m - e_i) (x) (w with i inserted), so every entry of a Koszul
 flattening is the single term c_beta * falling factors * m_i * sign with
 beta = m' + e_i + alpha; row and column indices come from graded-lex ranks
-and a table of wedge insertions.
+and a table of wedge insertions.  Each derivative term's value is made once
+and broadcast, with its row and column offsets, over that table.
 
 The Koszul flattening of a one-term form can instead be given by one torus
 weight block per orbit of the variable permutations that fix it (see
@@ -35,6 +36,7 @@ from .symtensor import (
     _flattening_shape,
     _from_pattern,
     _glex_rank,
+    _term_values,
     monomial_basis,
     multinomial,
 )
@@ -73,22 +75,24 @@ def _insertions(n_vars: int, p: int) -> np.ndarray:
     return out.transpose(2, 0, 1)
 
 
-def _exterior_pattern(group, m, factor, n_vars: int, p: int):
-    """Pattern (row, col, source, factor) of the exterior derivative applied
-    to the tensors x^m[s] (x) w, over all p-wedges w, with column
+def _exterior_pattern(group, m, value, n_vars: int, p: int):
+    """Pattern (row, col, values) of the exterior derivative applied to the
+    tensors value[s] * x^m[s] (x) w, over all p-wedges w, with column
     group[s] * C(n, p) + index(w) and row index(m - e_i) * C(n, p+1) +
-    index(w with i inserted); factor[s] scales source s."""
+    index(w with i inserted), and value sign * m_i * value[s]."""
     source, i = np.nonzero(m)
-    scaled = _products(factor[source], m[source, i])
+    scaled = _products(value[source], m[source, i])
     lower = m[source]
     lower[np.arange(source.size), i] -= 1
+    offset = _glex_rank(lower) * comb(n_vars, p + 1)
+    del lower
     small, big, sign = _insertions(n_vars, p)
-    # (pair, wedge) grids, raveled pair by pair.
+    # (pair, wedge) grids, raveled pair by pair: each pair's offsets and
+    # value are made once and broadcast over its wedges.
     row, col = big[i], small[i]
-    row += (_glex_rank(lower) * comb(n_vars, p + 1))[:, None]
+    row += offset[:, None]
     col += (group[source] * comb(n_vars, p))[:, None]
-    return (row.ravel(), col.ravel(), np.repeat(source, small.shape[1]),
-            _products(sign[i], scaled[:, None]).ravel())
+    return row.ravel(), col.ravel(), _products(sign[i], scaled[:, None]).ravel()
 
 
 def _wedge_labels(n: int, a: int, b: int, p: int):
@@ -110,10 +114,8 @@ def exterior_derivative(a: int, p: int, n_vars: int) -> SparseMatrix:
                          _basis_size(n_vars, a) * comb(n_vars, p))
     sources = np.array(monomial_basis(n_vars, a), dtype=np.int64)
     ones = np.ones(len(sources), dtype=np.int64)
-    row, col, source, factor = _exterior_pattern(
-        np.arange(len(sources)), sources, ones, n_vars, p)
-    return _from_pattern([1], row, col, np.zeros_like(source), factor, shape,
-                         _wedge_labels(n_vars, a - 1, a, p))
+    return _from_pattern(*_exterior_pattern(np.arange(len(sources)), sources, ones, n_vars, p),
+                         1, shape, _wedge_labels(n_vars, a - 1, a, p))
 
 
 def _koszul_shape(P: Poly, k: int, p: int) -> tuple[int, int]:
@@ -130,9 +132,12 @@ def _full_koszul(P: Poly, k: int, p: int) -> SparseMatrix:
     derivative and exterior patterns."""
     shape = _int64_shape(*_koszul_shape(P, k, p))
     term, alpha, m, factor = _derivative_pattern(P, k)
-    row, col, pair, scaled = _exterior_pattern(_glex_rank(alpha), m, factor, P.n_vars, p)
-    return _from_pattern(list(P.terms.values()), row, col, term[pair], scaled, shape,
-                         _wedge_labels(P.n_vars, P.degree - k - 1, k, p))
+    value, den = _term_values(list(P.terms.values()), term, factor)
+    group = _glex_rank(alpha)
+    del term, alpha, factor
+    pattern = _exterior_pattern(group, m, value, P.n_vars, p)
+    del group, m, value
+    return _from_pattern(*pattern, den, shape, _wedge_labels(P.n_vars, P.degree - k - 1, k, p))
 
 
 def koszul_flattening(P: Poly, k: int, p: int) -> SparseMatrix:

@@ -11,11 +11,13 @@ Every nonzero entry of a builder's matrix is a single term c_beta * z: one
 coefficient of P times an integer z fixed by the kind and the shape (a
 product of falling factorials, for Koszul flattenings also m_i and a wedge
 sign), and no two terms meet in one entry.  A builder therefore compiles
-numpy integer arrays (row, col, term, factor) from P's support, ranks rows
-and columns arithmetically in graded-lex order, and gathers the values as
-c_term * factor over P's common denominator.  ``exactla._products`` alone
-decides whether such a product is formed in int64, where the bit lengths
-prove it exact, or in Python ints beyond.
+numpy integer arrays (term, factor) from P's support, computes each term's
+value c_term * factor over P's common denominator once (``_term_values``),
+ranks rows and columns arithmetically in graded-lex order, and frees every
+other pattern array before ``exactla._coordinates`` orders the (row, col,
+value) arrays in place.  ``exactla._products`` alone decides whether a
+value is formed in int64, where the bit lengths prove it exact, or in Python
+ints beyond.
 """
 
 from __future__ import annotations
@@ -467,15 +469,22 @@ def _flattening_shape(P: Poly, k: int, ell: int = 0) -> tuple[int, int]:
     return _basis_size(n, d - k + ell), _basis_size(n, k) * _basis_size(n, ell)
 
 
-def _from_pattern(coeffs: Sequence, row, col, term, factor, shape, labels) -> SparseMatrix:
-    """The ``shape`` matrix with entry coeffs[term] * factor at (row, col),
-    one entry per pattern position, labeled by ``labels()`` on first read.
-    The coefficients are carried as integers over their common denominator,
-    which the matrix keeps as its one denominator.  Every entry is a nonzero
-    coefficient times a nonzero factor; ``_coordinates`` orders the
-    positions and refuses one outside ``shape`` or listed twice."""
+def _term_values(coeffs: Sequence, term: np.ndarray, factor: np.ndarray
+                 ) -> tuple[np.ndarray, int]:
+    """(values, den): coeffs[term] * factor as integer numerators over den,
+    the coefficients' common denominator, which a matrix built from them
+    keeps as its one denominator.  Each value is nonzero when the
+    coefficients and factors are."""
     numerators, den = _cleared(coeffs)
-    values = _products(_stored(np.array(numerators, dtype=object))[term], factor)
+    return _products(_stored(np.array(numerators, dtype=object))[term], factor), den
+
+
+def _from_pattern(row, col, values, den: int, shape, labels) -> SparseMatrix:
+    """The ``shape`` matrix over ``den`` with the numerator values[e] at
+    (row[e], col[e]), one entry per pattern position, labeled by ``labels()``
+    on first read; ``_coordinates`` orders the positions, in the builder's
+    scratch arrays row and col, and refuses one outside ``shape`` or listed
+    twice.  A builder frees its other pattern arrays before this sort."""
     return SparseMatrix._wrap(*shape, *_coordinates(*shape, row, col, values), labels, den)
 
 
@@ -489,10 +498,11 @@ def catalecticant(P: Poly, k: int) -> SparseMatrix:
     d, n = P.degree, P.n_vars
     shape = _int64_shape(*_flattening_shape(P, k))
     term, alpha, m, factor = _derivative_pattern(P, k)
-    return _from_pattern(
-        list(P.terms.values()), _glex_rank(m), _glex_rank(alpha), term, factor,
-        shape, lambda: (monomial_basis(n, d - k), monomial_basis(n, k)),
-    )
+    values, den = _term_values(list(P.terms.values()), term, factor)
+    row, col = _glex_rank(m), _glex_rank(alpha)
+    del term, alpha, m, factor
+    return _from_pattern(row, col, values, den, shape,
+                         lambda: (monomial_basis(n, d - k), monomial_basis(n, k)))
 
 
 def shifted_partials(P: Poly, k: int, ell: int) -> SparseMatrix:
@@ -507,15 +517,16 @@ def shifted_partials(P: Poly, k: int, ell: int) -> SparseMatrix:
     shifts = monomial_basis(n, ell)
     width = len(shifts)
     term, alpha, m, factor = _derivative_pattern(P, k)
-    # (entry, shift) grids, raveled entry by entry.
-    moved = (m[:, None] + np.array(shifts, dtype=np.int64)).reshape(-1, n)
+    value, den = _term_values(list(P.terms.values()), term, factor)
+    # (entry, shift) grids, raveled entry by entry: each term's value is
+    # made once and repeated over its shifts.
     col = _glex_rank(alpha)[:, None] * width + np.arange(width)
-    return _from_pattern(
-        list(P.terms.values()), _glex_rank(moved), col.ravel(), np.repeat(term, width),
-        np.repeat(factor, width), shape,
-        lambda: (monomial_basis(n, d - k + ell),
-                 itertools.product(monomial_basis(n, k), shifts)),
-    )
+    del term, alpha, factor
+    row = _glex_rank((m[:, None] + np.array(shifts, dtype=np.int64)).reshape(-1, n))
+    del m
+    return _from_pattern(row, col.ravel(), np.repeat(value, width), den, shape,
+                         lambda: (monomial_basis(n, d - k + ell),
+                                  itertools.product(monomial_basis(n, k), shifts)))
 
 
 def apply_linear_map(P: Poly, g) -> Poly:

@@ -6,7 +6,6 @@ import contextlib
 import hashlib
 import io
 import itertools
-import tracemalloc
 from fractions import Fraction
 from math import comb, lcm
 from unittest import mock
@@ -40,6 +39,7 @@ from flatrank.symtensor import (
     _flattening_shape,
     _from_pattern,
     _glex_rank,
+    _term_values,
     catalecticant,
     gen_permanent,
     gen_power_sum_power,
@@ -51,6 +51,7 @@ from flatrank.symtensor import (
     partial_derivative,
     shifted_partials,
 )
+from memory import traced_peak
 from stored import assert_stored
 
 FORMS = {
@@ -344,33 +345,19 @@ def test_permanent_catalecticant_memory_follows_the_pattern():
             exps[6 * i + j] = 1
         terms[tuple(exps)] = 1
     P = Poly(36, 6, terms)
-    tracemalloc.start()
-    try:
-        m = catalecticant(P, 3)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    m, peak = traced_peak(catalecticant, P, 3)
     assert (m.n_rows, m.n_cols, m.nnz) == (8436, 8436, 14400)
     assert peak < 24 * 2**20
 
 
-def _traced_peak(build):
-    """build() and the tracemalloc peak, in bytes, while it ran."""
-    tracemalloc.start()
-    try:
-        return build(), tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_exterior_pattern_memory_follows_the_pattern():
     # The 315 x 1120 cell (k = p = 3) of a dense sextic in six variables has
-    # 70,560 nonzeros, so each of the four returned arrays takes 0.56 MB; the
-    # bound leaves room for two more such temporaries, not for index arrays
+    # 70,560 nonzeros, so each of the three returned arrays takes 0.56 MB; the
+    # bound leaves room for a few more such temporaries, not for index arrays
     # that spell out the expansion (5.65 MB with them).
     _, alpha, m, factor = _derivative_pattern(gen_random(6, 6, 1, 2**31 - 1), 3)
     group = _glex_rank(alpha)
-    (row, *_), peak = _traced_peak(lambda: _exterior_pattern(group, m, factor, 6, 3))
+    (row, *_), peak = traced_peak(_exterior_pattern, group, m, factor, 6, 3)
     assert row.size == 70560
     assert peak < 4 * 10**6
 
@@ -379,7 +366,7 @@ def test_shifted_partials_memory_follows_the_pattern():
     # A dense sextic in five variables at k = 2, ell = 1: 5,250 nonzeros.
     # Index arrays over the (entry, shift) grid took the peak to 0.82 MB.
     P = gen_random(5, 6, 1, 2**31 - 1)
-    matrix, peak = _traced_peak(lambda: shifted_partials(P, 2, 1))
+    matrix, peak = traced_peak(shifted_partials, P, 2, 1)
     assert (matrix.n_rows, matrix.n_cols, matrix.nnz) == (126, 75, 5250)
     assert peak < 750_000
 
@@ -469,8 +456,8 @@ def test_from_pattern_refuses_a_position_outside_or_listed_twice():
     term, factor = np.zeros(2, dtype=np.int64), np.array([2, -3])
 
     def build(row, col):
-        return _from_pattern([Fraction(5, 2)], np.array(row), np.array(col), term, factor,
-                             (2, 2), None)
+        return _from_pattern(np.array(row), np.array(col),
+                             *_term_values([Fraction(5, 2)], term, factor), (2, 2), None)
 
     assert build([0, 1], [1, 0]).entries() == [(0, 1, 5), (1, 0, Fraction(-15, 2))]
     for row, col in (([0, 2], [1, 0]), ([0, 1], [1, -1]), ([1, 1], [0, 0])):
@@ -526,7 +513,8 @@ def patterns(draw):
 @given(patterns())
 def test_from_pattern_values_match_the_object_gather(pattern):
     coeffs, row, col, term, factor, shape = pattern
-    m = _from_pattern(coeffs, row, col, term, factor, shape, None)
+    # row and col are _from_pattern's scratch: it is given copies.
+    m = _from_pattern(row.copy(), col.copy(), *_term_values(coeffs, term, factor), shape, None)
     order = np.lexsort((col, row))
     expected = gathered_values(coeffs, term, factor, order)
     # Stored int64 exactly when every value fits, whichever dtype the gather took.

@@ -1,11 +1,14 @@
 """Scalar, sparse-matrix, and rank-engine behavior."""
 
+import os
 import random
-import tracemalloc
+import subprocess
+import sys
 from collections import Counter, defaultdict
 from decimal import Decimal
 from fractions import Fraction
 from math import lcm
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -51,6 +54,7 @@ from flatrank.symtensor import (
     gen_random,
     shifted_partials,
 )
+from memory import traced_peak
 from stored import assert_stored
 
 # The prime rank_exact certifies with, drawn as it draws it.
@@ -117,12 +121,7 @@ def test_rank_exact_power_sum_catalecticant():
 
 def test_rank_exact_memory_follows_nnz_not_declared_rows():
     m = SparseMatrix(2_000_000, 3, [(0, 0, 1), (999_999, 1, Fraction(1, 2)), (1_999_999, 2, 3)])
-    tracemalloc.start()
-    try:
-        result = rank_exact(m)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    result, peak = traced_peak(rank_exact, m)
     assert result.rank == 3
     assert peak < 10 * 2**20
 
@@ -296,6 +295,122 @@ def test_components_agree_with_union_find_and_unique_compaction(m, columns):
     for c, count in components:
         found[(c.n_rows, c.n_cols, tuple(c.entries()))] += count
     assert found == compacted_components(m)
+
+
+def label_components(m):
+    """_components by the label algorithm alone, as it split every matrix
+    before the one-component test: union by labels over every nonzero, local
+    positions, and equal components grouped by their bytes."""
+    if m._split is not None:
+        return m._split
+    if not m.nnz:
+        return []
+    ri = np.zeros(m.nnz, dtype=np.int64)
+    np.cumsum(m._rows[1:] != m._rows[:-1], out=ri[1:])
+    n_r = int(ri[-1]) + 1
+    if m._cols.dtype == object or m.n_cols > 4 * m.nnz:
+        cols, cj = np.unique(m._cols, return_inverse=True)
+        n_c = cols.size
+    else:
+        used = np.zeros(m.n_cols, dtype=bool)
+        used[m._cols] = True
+        index = np.cumsum(used) - 1
+        n_c, cj = int(index[-1]) + 1, index[m._cols]
+    comp = exactla._component_labels(ri, cj + n_r, n_r + n_c)
+    n_comp = int(comp.max()) + 1
+    if n_comp == 1 and (n_r, n_c) == (m.n_rows, m.n_cols):
+        return [(m, 1)]
+    row_comp, col_comp = comp[:n_r], comp[n_r:]
+    row_pos = exactla._positions(row_comp, n_comp)
+    col_pos = exactla._positions(col_comp, n_comp)
+    entry_comp = row_comp[ri]
+    nnz = np.bincount(entry_comp, minlength=n_comp)
+    by_nnz = np.argsort(nnz, kind="stable")
+    slot = np.empty_like(by_nnz)
+    slot[by_nnz] = np.arange(n_comp)
+    order = np.argsort(slot[entry_comp], kind="stable")
+    local_rows, local_cols, values = row_pos[ri][order], col_pos[cj][order], m._values[order]
+    ids = np.unique(values, return_inverse=True)[1] if values.dtype == object else values
+    sizes = nnz[by_nnz]
+    n_rows = np.bincount(row_comp, minlength=n_comp)[by_nnz].tolist()
+    n_cols = np.bincount(col_comp, minlength=n_comp)[by_nnz].tolist()
+    distinct, start = [], 0
+    for a, b in exactla._runs(sizes):
+        k = int(sizes[a])
+        end = start + (b - a) * k
+        same, runs = [0], [(0, 1)]
+        if b - a > 1:
+            block = np.stack((local_rows[start:end], local_cols[start:end], ids[start:end]), 1)
+            keys = block.reshape(b - a, 3 * k).view(np.dtype((np.void, 24 * k))).ravel()
+            same = np.argsort(keys, kind="stable")
+            runs = exactla._runs(keys[same])
+        for first, last in runs:
+            i = int(same[first])
+            c, e = a + i, start + i * k
+            distinct.append((SparseMatrix._wrap(n_rows[c], n_cols[c], local_rows[e:e + k],
+                                                local_cols[e:e + k], values[e:e + k], den=m._den),
+                             last - first))
+        start = end
+    return distinct
+
+
+@st.composite
+def split_cases(draw):
+    """Matrices on both sides of the one-component test: dense-ish blocks on
+    the diagonal with empty rows and columns between them, one block that
+    leaves a row or a column unused, one block using all of them, a path
+    longer than the reachability rounds, 1 x 1, and a block whose rows lie
+    past 2^63, so that its index arrays hold Python ints."""
+    kind = draw(st.sampled_from(["blocks", "unused", "whole", "path", "single", "object"]))
+    value = st.integers(-3, 3) | st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+    if kind == "single":
+        return SparseMatrix(1, 1, [(0, 0, draw(value.filter(bool)))])
+    if kind == "path":
+        # Row i meets columns i and i + 1: one component of diameter 2n,
+        # still growing when the reachability rounds run out, alone or
+        # beside a full 2 x 2 component.
+        n = draw(st.integers(2 * exactla._REACH_ROUNDS, 3 * exactla._REACH_ROUNDS))
+        entries = [(i, j, draw(st.integers(1, 3))) for i in range(n) for j in (i, i + 1)]
+        if draw(st.booleans()):
+            return SparseMatrix(n + 2, n + 3, entries + [(i, j, 5) for i in (n, n + 1)
+                                                         for j in (n + 1, n + 2)])
+        return SparseMatrix(n, n + 1, entries)
+    entries, n_rows, n_cols = [], 0, 0
+    for _ in range(draw(st.integers(2, 4)) if kind == "blocks" else 1):
+        n_rows += draw(st.integers(0, 2)) if kind == "blocks" else 0
+        n_cols += draw(st.integers(0, 2)) if kind == "blocks" else 0
+        rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+        # A full first row and column connect the block and use all of it.
+        for i in range(rows):
+            for j in range(cols):
+                if i == 0 or j == 0 or draw(st.booleans()):
+                    entries.append((n_rows + i, n_cols + j, draw(value.filter(bool))))
+        n_rows, n_cols = n_rows + rows, n_cols + cols
+    if kind == "unused":
+        # One empty row or column, inserted anywhere.
+        if draw(st.booleans()):
+            at = draw(st.integers(0, n_rows))
+            entries = [(i + (i >= at), j, v) for i, j, v in entries]
+            n_rows += 1
+        else:
+            at = draw(st.integers(0, n_cols))
+            entries = [(i, j + (j >= at), v) for i, j, v in entries]
+            n_cols += 1
+    shift = 2**63 if kind == "object" else 0
+    return SparseMatrix(n_rows + shift, n_cols, [(i + shift, j, v) for i, j, v in entries])
+
+
+@settings(max_examples=120, deadline=None)
+@given(split_cases())
+def test_one_component_test_splits_as_the_label_algorithm(m):
+    expected = label_components(m)
+    found = _components(m)
+    assert len(found) == len(expected)
+    for (c, count), (e, e_count) in zip(found, expected):
+        assert (c is m) == (e is m)
+        assert (c.n_rows, c.n_cols, c._den, count) == (e.n_rows, e.n_cols, e._den, e_count)
+        for got, want in ((c._rows, e._rows), (c._cols, e._cols), (c._values, e._values)):
+            assert got.dtype == want.dtype and got.tolist() == want.tolist()
 
 
 @st.composite
@@ -534,12 +649,8 @@ def test_products_are_exact_and_int64_when_the_bit_lengths_prove_it(case):
 def test_rank_exact_memory_on_the_kyfl11_cell_follows_its_block():
     # Factoring all 1764 x 49 rows and checking entry by entry peaked at 4.16 MB.
     m = koszul_flattening(gen_random(7, 5, 0, 1000), 1, 1)
-    tracemalloc.start()
-    try:
-        assert rank_exact(m).rank == 48
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    result, peak = traced_peak(rank_exact, m)
+    assert result.rank == 48
     assert peak < 2.5e6
 
 
@@ -679,9 +790,9 @@ def _first_panel_rank_then_zero_panels():
     return a
 
 
-def _zero_panel_then_full_rank():
+def _zero_panel_then_full_rank(lead=PANEL):
     a = np.zeros((40, 3 * PANEL), dtype=np.int64)
-    a[:, PANEL:] = np.random.default_rng(4).integers(0, 101, (40, 2 * PANEL))
+    a[:, lead:] = np.random.default_rng(4).integers(0, 101, (40, 3 * PANEL - lead))
     return a
 
 
@@ -698,20 +809,48 @@ def _one_pivot_per_panel_near_q(q=3037000493, n_rows=12):
 
 
 @settings(max_examples=100, deadline=None)
-@given(panel_matrices(), st.sampled_from([5, exactla.CHUNK]), st.sampled_from([1, exactla._DRIFT]))
-@example((_zero_panel_then_full_rank(), 101), 5, exactla._DRIFT)
-@example((_first_panel_rank_then_zero_panels(), 101), 5, exactla._DRIFT)
+@given(panel_matrices(), st.sampled_from([5, exactla.CHUNK]), st.sampled_from([1, exactla._DRIFT]),
+       st.sampled_from([7, exactla.BLOCK]))
+@example((_zero_panel_then_full_rank(), 101), 5, exactla._DRIFT, 7)
+@example((_zero_panel_then_full_rank(PANEL + 7), 101), 5, exactla._DRIFT, 7)
+@example((_first_panel_rank_then_zero_panels(), 101), 5, exactla._DRIFT, 7)
 @example((np.full((PANEL + 3, 2 * PANEL + 5), 3037000492), 3037000493), exactla.CHUNK,
-         exactla._DRIFT)
-@example((_one_pivot_per_panel_near_q(), 3037000493), 5, exactla._DRIFT)
-@example((_one_pivot_per_panel_near_q().T.copy(), 3037000493), exactla.CHUNK, 1)
-def test_blocked_dense_kernel_matches_the_sparse_oracle(case, chunk, drift):
+         exactla._DRIFT, exactla.BLOCK)
+@example((_one_pivot_per_panel_near_q(), 3037000493), 5, exactla._DRIFT, 7)
+@example((_one_pivot_per_panel_near_q().T.copy(), 3037000493), exactla.CHUNK, 1, 7)
+def test_blocked_dense_kernel_matches_the_sparse_oracle(case, chunk, drift, block):
     # A small chunk splits the trailing update of these small matrices too,
-    # and a drift of 1 reduces the whole trailing block before every update
-    # but the first.
+    # a drift of 1 reduces the whole trailing block before every update but
+    # the first, and a block of 7 columns splits the update, the drift
+    # reduction and the all-zero check into blocks, the last one narrower
+    # (after a zero panel and a zero first block, the second block decides).
     a, q = case
     rows = [{j: v for j, v in enumerate(row) if v} for row in a.tolist()]
-    with mock.patch.object(exactla, "CHUNK", chunk), mock.patch.object(exactla, "_DRIFT", drift):
+    with mock.patch.object(exactla, "CHUNK", chunk), mock.patch.object(exactla, "_DRIFT", drift), \
+            mock.patch.object(exactla, "BLOCK", block):
+        assert _modular_rank_dense(a.copy(), q) == _markowitz_rank(rows, _modular_update(q))
+
+
+@settings(max_examples=60, deadline=None)
+@given(panel_matrices(), st.sampled_from([7, exactla.BLOCK]))
+@example((_one_pivot_per_panel_near_q(), 3037000493), 7)
+@example((_one_pivot_per_panel_near_q(n_rows=40), 3037000493), 7)
+def test_blocked_dense_kernel_reduces_every_block_between_updates(case, block):
+    # Each product the update subtracts is shifted by the largest multiple of
+    # q below 2^62, which leaves it congruent but takes an entry in [0, q)
+    # near -2^62: a second update to any block not reduced in between wraps
+    # int64.  With a drift of 1 every block is reduced before every update
+    # but the first, so the rank stays the oracle's.
+    a, q = case
+    rows = [{j: v for j, v in enumerate(row) if v} for row in a.tolist()]
+    shift, times_mod = 2**62 // q * q, exactla._times_mod
+
+    def shifted(y, q):
+        times = times_mod(y, q)
+        return lambda x: times(x) + shift
+
+    with mock.patch.object(exactla, "_DRIFT", 1), mock.patch.object(exactla, "BLOCK", block), \
+            mock.patch.object(exactla, "_times_mod", shifted):
         assert _modular_rank_dense(a.copy(), q) == _markowitz_rank(rows, _modular_update(q))
 
 
@@ -1056,6 +1195,52 @@ def test_constructor_names_the_first_repeat_in_a_long_shuffled_list(seed):
     entries.insert(2001, entries[2000])  # the first repeat
     with pytest.raises(ValueError, match=r"duplicate entry at \(%d, %d\)" % cells[2000]):
         SparseMatrix(60, 60, entries)
+
+
+# 7 * KEY_COLS = 2^63 - 1: the key row * n_cols + col of every cell of a
+# 7 x KEY_COLS matrix fits in int64, and one more column takes the last
+# row's keys past it.
+KEY_COLS = (2**63 - 1) // 7
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_key_and_lexsort_paths_store_the_same_arrays(seed):
+    rng = random.Random(seed)
+    cells = rng.sample([(i, j) for i in range(7)
+                        for j in [0, 1, 2, KEY_COLS - 2, KEY_COLS - 1]], 20)
+    entries = [(i, j, rng.choice([-2, 1, 3, 2**70])) for i, j in cells]
+    stored = []
+    for n_cols, sorts in ((KEY_COLS, 0), (KEY_COLS + 1, 1)):
+        with mock.patch.object(exactla.np, "lexsort", wraps=np.lexsort) as lexsort:
+            m = SparseMatrix(7, n_cols, entries)
+        assert lexsort.call_count == sorts
+        assert_stored(m)
+        stored.append([(a.dtype, a.tolist()) for a in (m._rows, m._cols, m._values)])
+    assert stored[0] == stored[1]
+    assert [(i, j) for i, j, _ in SparseMatrix(7, KEY_COLS, entries).entries()] == sorted(cells)
+
+
+def test_rank_of_a_huge_declared_shape_allocates_by_its_entries(tmp_path):
+    # 2^40 x 2^40 with 3 entries, ranked in a child process whose address
+    # space is limited to 1 GiB: one flag, label or dense cell per row or
+    # column of the declared shape would ask for terabytes and fail.
+    side = 2**40
+    path = tmp_path / "huge.txt"
+    path.write_text(f"%%flatrank coordinate rational\n{side} {side} 3\n"
+                    f"1 1 2\n5 7 -1/3\n{side} {side} 4\n")
+    limit = 2**30
+    code = ("import resource, sys\n"
+            f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+            "from flatrank.labcli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+    src = str(Path(exactla.__file__).parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=pythonpath, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    for engine in ((), ("--exact",), ("--modular",)):
+        child = subprocess.run([sys.executable, "-c", code, "rank", str(path), *engine],
+                               env=env, capture_output=True, text=True, timeout=60)
+        assert child.returncode == 0, child.stderr
+        assert "rank: 3" in child.stdout
 
 
 def looped_arrays(n_rows, n_cols, entries):
